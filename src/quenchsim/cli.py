@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from multiprocessing import Pool
 
 import numpy as np
@@ -45,7 +46,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str, header: list[str], rows: list[tuple]) -> None:
+def _atomic_write(path: str, header: list[str], rows: Iterable[tuple]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
@@ -174,14 +175,12 @@ def _run_lz(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _LZ_DEFAULTS)
     lz = _build_lz_config(cfg)
     traj = evolve_lz(lz)
-    rows = list(
-        zip(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
-            traj.phase_diff_im, traj.err)
-    )
-    rows = [tuple(float(v) for v in row) for row in rows]
+    rows = zip(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
+               traj.phase_diff_im, traj.err)
     _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"], rows)
     _write_manifest(cfg["out"], cfg)
-    print(f"wrote {cfg['out']} ({len(rows)} rows, final fidelity {traj.fidelity[-1]!r})")
+    print(f"wrote {cfg['out']} ({len(traj.times)} rows, "
+          f"final fidelity {float(traj.fidelity[-1])!r})")
     return 0
 
 
@@ -281,6 +280,8 @@ def _run_chain_cmd(ns: argparse.Namespace) -> int:
     if cfg["rates"] is None:
         raise ValueError("chain requires --rates (list or: log MIN MAX COUNT)")
     rates = _parse_rates(cfg["rates"])
+    if cfg["modes_out"] and len(rates) != 1:
+        raise ValueError("--modes-out requires exactly one rate")
     cells = [
         {"cfg": cfg, "strategy": cfg["strategy"], "rate": r,
          "kicks": int(cfg["kicks"]), "pulse_width": cfg["pulse_width"]}
@@ -293,8 +294,6 @@ def _run_chain_cmd(ns: argparse.Namespace) -> int:
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if cfg["modes_out"]:
-        if len(rates) != 1:
-            raise ValueError("--modes-out requires exactly one rate")
         chain = _build_chain_config(cfg, Strategy(cfg["strategy"]), rates[0],
                                     int(cfg["kicks"]), cfg["pulse_width"])
         result, err = run_chain(chain, track_err=True)
@@ -456,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return ns.func(ns)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

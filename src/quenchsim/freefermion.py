@@ -21,7 +21,11 @@ product of SU(2) rotations with kick angles pi * E_k(theta_j); that product
 contains no time variable, so excitation probabilities are then strictly
 independent of the quench rate.
 
-Evolution across modes is vectorized; per-(mode, rate) work is pure and can be
+Evolution across modes is vectorized on the quaternion kernel of su2, which
+the Landau-Zener engine shares: step quaternions reduced by a time-ordered
+tree product per chunk of steps.  The adiabaticity error of every driving is
+summed from su2._err_terms segments; the frozen stretch between two kicks is
+a segment with no phase growth.  Per-(mode, rate) work is pure and can be
 farmed out to worker processes with an ordered reduction.
 """
 
@@ -34,10 +38,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .schedules import KickTrain, Strategy, xy_geodesic_schedule, Control
-from .su2 import Herm2
+from .schedules import Control, KickTrain, Strategy, _xy_geodesic_angles
+from .su2 import _CHUNK, Herm2, _err_terms, _ordered_product, _quat_identity, _quat_mul
+from .su2 import _quat_steps, _quat_to_unitary
+from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
-_CHUNK = 4096
 _RAMP_PTS = 20001
 
 
@@ -245,140 +250,51 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> ArcLengthRamp:
 
 def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode affine angle endpoints (theta_i, theta_f) for geodesic paths."""
-    mode = Control.FIELD if cfg.varies_h else Control.ANISOTROPY
-    th_i = np.empty(len(ks))
-    th_f = np.empty(len(ks))
-    for i, k in enumerate(ks):
+    if cfg.varies_h:
+        return _xy_geodesic_angles(ks, Control.FIELD, cfg.h_i, cfg.h_f, cfg.gamma_i)
+    return _xy_geodesic_angles(ks, Control.ANISOTROPY, cfg.gamma_i, cfg.gamma_f, cfg.h_i)
+
+
+def _geodesic_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
+    """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M) on the per-mode
+    geodesics, the mixing angle of each mode affine in the scaled time frac."""
+    s, c = np.sin(ks), np.cos(ks)
+    th_i, th_f = _mode_geodesic_angles(cfg, ks)
+
+    def fn(frac):
+        th = th_i[None, :] + (th_f - th_i)[None, :] * frac[:, None]
         if cfg.varies_h:
-            sched = xy_geodesic_schedule(k, mode, cfg.h_i, cfg.h_f, cfg.gamma_i, cfg.T)
-        else:
-            sched = xy_geodesic_schedule(k, mode, cfg.gamma_i, cfg.gamma_f, cfg.h_i, cfg.T)
-        th_i[i], th_f[i] = sched.theta_i, sched.theta_f
-    return th_i, th_f
+            # field convention: tan(theta) = (h - cos k)/sin k
+            return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape)
+        # anisotropy convention: tan(theta) = gamma sin k / a
+        a = cfg.h_i - c
+        return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
+
+    return fn
 
 
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
     """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M) for the continuous
     strategies, where H_k = -2 (a Z + d X)."""
+    if cfg.strategy not in (Strategy.LIN, Strategy.GEO):
+        raise ValueError(f"no continuous path for strategy {cfg.strategy}")
+    if cfg.strategy is Strategy.GEO and not cfg.collective_geodesic:
+        return _geodesic_components(cfg, ks)
+    # the varying control: linear ramp, or the collective arc-length ramp
+    ramp = collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO else None
     s = np.sin(ks)
     c = np.cos(ks)
-    if cfg.strategy is Strategy.LIN:
 
-        def fn(frac):
-            gamma, h = cfg.params_at(frac)
-            if cfg.varies_h:
-                return h[:, None] - c[None, :], np.broadcast_to(cfg.gamma_i * s, (len(frac), len(ks)))
-            return np.broadcast_to(cfg.h_i - c, (len(frac), len(ks))), gamma[:, None] * s[None, :]
-
-        return fn
-
-    if cfg.strategy is Strategy.GEO and cfg.collective_geodesic:
-        ramp = collective_geodesic_ramp(cfg)
-
-        def fn(frac):
-            p = ramp.value(frac * cfg.T)
-            if cfg.varies_h:
-                return p[:, None] - c[None, :], np.broadcast_to(cfg.gamma_i * s, (len(frac), len(ks)))
-            return np.broadcast_to(cfg.h_i - c, (len(frac), len(ks))), p[:, None] * s[None, :]
-
-        return fn
-
-    if cfg.strategy is Strategy.GEO:
-        th_i, th_f = _mode_geodesic_angles(cfg, ks)
-
-        def fn(frac):
-            th = th_i[None, :] + (th_f - th_i)[None, :] * frac[:, None]
-            if cfg.varies_h:
-                # field convention: tan(theta) = (h - cos k)/sin k
-                return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape)
-            # anisotropy convention: tan(theta) = gamma sin k / a
-            a = cfg.h_i - c
-            return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
-
-        return fn
-
-    raise ValueError(f"no continuous path for strategy {cfg.strategy}")
-
-
-def _phase_ramp(dphi: np.ndarray) -> np.ndarray:
-    """Exact mean of e^{i phi} over a segment where phi grows linearly by dphi."""
-    small = np.abs(dphi) < 1e-8
-    safe = np.where(small, 1.0, dphi)
-    out = (np.exp(1j * safe) - 1.0) / (1j * safe)
-    return np.where(small, 1.0 + 1j * dphi / 2.0, out)
-
-
-# SU(2) elements are held internally as real quaternions (..., 4):
-# U = q0 I + i (q1 X + q2 Y + q3 Z).  Composition then costs 16 real
-# multiplies on float arrays instead of batched complex 2x2 products.
-
-
-def _quat_steps(a: np.ndarray, d: np.ndarray, dt: float) -> np.ndarray:
-    """Step quaternions for exp(-i H dt), H = -2 (a Z + d X); shapes (..., 4)."""
-    r = np.sqrt(a * a + d * d)
-    r *= 2.0
-    ang = r * dt
-    q = np.empty(a.shape + (4,))
-    q[..., 0] = np.cos(ang)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.sin(ang) / r
-    zero = r == 0.0
-    if np.any(zero):
-        f[zero] = dt  # sin(r dt)/r -> dt as r -> 0
-    f *= 2.0
-    q[..., 1] = f * d
-    q[..., 2] = 0.0
-    q[..., 3] = f * a
-    return q
-
-
-def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(p0 + i p.sigma)(q0 + i q.sigma) = (p0 q0 - p.q) + i(p0 q + q0 p - p x q).sigma."""
-    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-    out[..., 1] = p0 * q1 + q0 * p1 - (p2 * q3 - p3 * q2)
-    out[..., 2] = p0 * q2 + q0 * p2 - (p3 * q1 - p1 * q3)
-    out[..., 3] = p0 * q3 + q0 * p3 - (p1 * q2 - p2 * q1)
-    return out
-
-
-def _quat_identity(nmodes: int) -> np.ndarray:
-    q = np.zeros((nmodes, 4))
-    q[:, 0] = 1.0
-    return q
-
-
-def _quat_to_unitary(q: np.ndarray) -> np.ndarray:
-    """(..., 4) quaternions -> (..., 2, 2) complex unitaries."""
-    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = q[..., 0] + 1j * q[..., 3]
-    out[..., 1, 1] = q[..., 0] - 1j * q[..., 3]
-    out[..., 0, 1] = q[..., 2] + 1j * q[..., 1]
-    out[..., 1, 0] = -q[..., 2] + 1j * q[..., 1]
-    return out
-
-
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Reduce (S, M, 4) step quaternions to the time-ordered product
-    steps[S-1] * ... * steps[0] per mode, by pairwise tree contraction
-    (log(S) batched products instead of S Python-level ones)."""
-    while steps.shape[0] > 1:
-        s = steps.shape[0]
-        half = s // 2
-        merged = _quat_mul(steps[1 : 2 * half : 2], steps[0 : 2 * half : 2])
-        if s % 2:
-            steps = np.concatenate([merged, steps[-1:]], axis=0)
+    def fn(frac):
+        if ramp is None:
+            p = cfg.params_at(frac)[1 if cfg.varies_h else 0]
         else:
-            steps = merged
-    return steps[0]
+            p = ramp.value(frac * cfg.T)
+        if cfg.varies_h:
+            return p[:, None] - c[None, :], np.broadcast_to(cfg.gamma_i * s, (len(frac), len(ks)))
+        return np.broadcast_to(cfg.h_i - c, (len(frac), len(ks))), p[:, None] * s[None, :]
 
-
-def _containing_steps(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
-    """Step index holding each time; values within 1e-9 steps of a grid node
-    are snapped up to that node before flooring."""
-    return np.minimum(np.floor(times / dt + 1e-9).astype(int), n_steps - 1)
+    return fn
 
 
 def _evolve_continuous(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
@@ -402,12 +318,10 @@ def _evolve_continuous(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
             )
         Uq = _quat_mul(_ordered_product(_quat_steps(a, d, dt)), Uq)
         if track_err:
-            dphi = -4.0 * np.hypot(a, d) * dt  # E0 - E1 = -4 E_k per unit time
-            starts_phase = phase[None, :] + np.concatenate(
-                [np.zeros((1, nmodes)), np.cumsum(dphi, axis=0)[:-1]], axis=0
-            )
-            integral += (np.exp(1j * starts_phase) * _phase_ramp(dphi) * dlam).sum(axis=0)
-            phase += dphi.sum(axis=0)
+            # E0 - E1 = -4 E_k per unit time
+            terms, phi = _err_terms(phase, -4.0 * np.hypot(a, d) * dt, dlam)
+            integral += terms.sum(axis=0)
+            phase = phi[-1]
     return _quat_to_unitary(Uq), (np.abs(integral) if track_err else None)
 
 
@@ -420,39 +334,13 @@ def _kick_parameters(cfg: ChainConfig, ks: np.ndarray):
     kick runs are bitwise identical across quench rates).
     """
     nk = cfg.kicks.n_kicks
-    lam = (2 * np.arange(1, nk + 1) - 1) / (2 * nk)
-    s, c = np.sin(ks), np.cos(ks)
-    th_i, th_f = _mode_geodesic_angles(cfg, ks)
-    th = th_i[None, :] + (th_f - th_i)[None, :] * lam[:, None]
-    if cfg.varies_h:
-        return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape).copy()
-    a = cfg.h_i - c
-    return np.broadcast_to(a, th.shape).copy(), a[None, :] * np.tan(th)
+    return _geodesic_components(cfg, ks)((2 * np.arange(1, nk + 1) - 1) / (2 * nk))
 
 
 def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Time-ordered product over kicks of exp(+i pi E_j n_j.sigma) for
     H_j = -2 (a_j Z + d_j X) and pulse area pi/2; a, d have shape (n_kicks, M)."""
     return _quat_to_unitary(_ordered_product(_quat_steps(a, d, np.pi / 2)))
-
-
-def _segmented_err(bounds_lam, widths_lam, dphis) -> np.ndarray:
-    """|integral of e^{i phi} d lambda| for phase frozen between pulses.
-
-    bounds_lam: pulse start positions (n_kicks,); widths_lam: scalar pulse
-    width in lambda; dphis: (n_kicks, M) phase jump per pulse.
-    """
-    nk, nmodes = dphis.shape
-    phases = np.concatenate([np.zeros((1, nmodes)), np.cumsum(dphis, axis=0)], axis=0)
-    integral = np.zeros(nmodes, dtype=complex)
-    prev_end = 0.0
-    for j in range(nk):
-        integral += np.exp(1j * phases[j]) * (bounds_lam[j] - prev_end)
-        if widths_lam > 0:
-            integral += np.exp(1j * phases[j]) * _phase_ramp(dphis[j]) * widths_lam
-        prev_end = bounds_lam[j] + widths_lam
-    integral += np.exp(1j * phases[nk]) * (1.0 - prev_end)
-    return np.abs(integral)
 
 
 def _evolve_kicked(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
@@ -466,29 +354,35 @@ def _evolve_kicked(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
     time itself.  The resulting operator is exactly the ordered SU(2) kick
     product and carries no dependence on T.  Wider pulses are integrated
     step by step with midpoint-sampled envelope and angle, which restores
-    rate dependence.
+    rate dependence.  Between pulses the generator vanishes: the phase is
+    frozen there and the error integral grows by e^{i phi} per unit lambda.
     """
     kt = cfg.kicks
     dt = cfg.dt_eff
+    nmodes = len(ks)
     if kt.single_sample(cfg.dt, dt):
         a, d = _kick_parameters(cfg, ks)
         U = _kick_product(a, d)
         err = None
         if track_err:
-            steps = _containing_steps(kt.kick_times, dt, cfg.n_steps)
-            bounds = steps * dt / cfg.T
-            dphis = -2.0 * np.pi * np.hypot(a, d)  # -2 alpha_kj per kick
-            err = _segmented_err(bounds, dt / cfg.T, dphis)
+            # segments: gap, pulse, gap, ..., pulse, gap
+            start = kt.containing_steps(dt, cfg.n_steps) * dt / cfg.T
+            end = start + dt / cfg.T
+            dphi = np.zeros((2 * kt.n_kicks + 1, nmodes))
+            dphi[1::2] = -2.0 * np.pi * np.hypot(a, d)  # -2 alpha_kj per kick
+            dlam = np.empty((2 * kt.n_kicks + 1, 1))
+            dlam[0::2, 0] = np.append(start, 1.0) - np.append(0.0, end)
+            dlam[1::2, 0] = dt / cfg.T
+            terms, _ = _err_terms(0.0, dphi, dlam)
+            err = np.abs(terms.sum(axis=0))
         return U, err
 
     # finite-width pulses: enumerate the steps whose midpoints fall in windows
-    nmodes = len(ks)
-    s, c = np.sin(ks), np.cos(ks)
-    th_i, th_f = _mode_geodesic_angles(cfg, ks)
+    geo = _geodesic_components(cfg, ks)
     Uq = _quat_identity(nmodes)
     phase = np.zeros(nmodes)
     integral = np.zeros(nmodes, dtype=complex)
-    prev_end_lam = 0.0
+    end_lam = 0.0
     amp = kt.amplitude
     for t0 in kt.kick_times:
         i0 = int(np.ceil(t0 / dt - 0.5))
@@ -496,30 +390,21 @@ def _evolve_kicked(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
         i0, i1 = max(i0, 0), min(i1, cfg.n_steps)
         if i1 <= i0:
             continue
-        tmid = (np.arange(i0, i1) + 0.5) * dt
-        th = th_i[None, :] + (th_f - th_i)[None, :] * (tmid / cfg.T)[:, None]
-        if cfg.varies_h:
-            a = s[None, :] * np.tan(th)
-            d = np.broadcast_to(cfg.gamma_i * s, th.shape)
-        else:
-            a = np.broadcast_to(cfg.h_i - c, th.shape)
-            d = (cfg.h_i - c)[None, :] * np.tan(th)
-        steps = _quat_steps(amp * a, amp * d, dt)
+        a, d = geo((np.arange(i0, i1) + 0.5) * dt / cfg.T)
+        Uq = _quat_mul(_ordered_product(_quat_steps(amp * a, amp * d, dt)), Uq)
         if track_err:
-            start_lam = i0 * dt / cfg.T
-            integral += np.exp(1j * phase) * (start_lam - prev_end_lam)
-            dphi = -4.0 * amp * np.hypot(a, d) * dt
-            ph_cum = phase[None, :] + np.concatenate(
-                [np.zeros((1, nmodes)), np.cumsum(dphi, axis=0)[:-1]], axis=0
-            )
-            integral += (np.exp(1j * ph_cum) * _phase_ramp(dphi) * (dt / cfg.T)).sum(axis=0)
-            phase += dphi.sum(axis=0)
-            prev_end_lam = i1 * dt / cfg.T
-        Uq = _quat_mul(_ordered_product(steps), Uq)
+            # segments: the gap since the previous pulse, then this pulse's steps
+            dphi = np.zeros((i1 - i0 + 1, nmodes))
+            dphi[1:] = -4.0 * amp * np.hypot(a, d) * dt
+            dlam = np.full((i1 - i0 + 1, 1), dt / cfg.T)
+            dlam[0] = i0 * dt / cfg.T - end_lam
+            terms, phi = _err_terms(phase, dphi, dlam)
+            integral += terms.sum(axis=0)
+            phase, end_lam = phi[-1], i1 * dt / cfg.T
     err = None
     if track_err:
-        integral += np.exp(1j * phase) * (1.0 - prev_end_lam)
-        err = np.abs(integral)
+        terms, _ = _err_terms(phase, np.zeros((1, nmodes)), 1.0 - end_lam)
+        err = np.abs(integral + terms[0])
     return _quat_to_unitary(Uq), err
 
 

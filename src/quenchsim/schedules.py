@@ -49,6 +49,8 @@ class Control(str, enum.Enum):
 # absolute floor below which sin(k) is treated as zero (k at 0 or pi)
 _SINK_TOL = 1e-12
 
+_atan2 = np.frompyfunc(math.atan2, 2, 1)  # elementwise math.atan2
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -118,12 +120,43 @@ def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedu
     )
 
 
-def _wrap_pi(angle: float) -> float:
-    """Wrap to (-pi, pi]."""
-    w = math.fmod(angle + math.pi, 2 * math.pi)
-    if w <= 0:
-        w += 2 * math.pi
-    return w - math.pi
+def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float):
+    """Per-mode geodesic angle endpoints (theta_i, theta_f), arrays over ks.
+
+    mode=ANISOTROPY varies gamma at fixed h using tan(theta) = gamma sin k / (h - cos k);
+    mode=FIELD varies h at fixed gamma using tan(theta) = (h - cos k) / sin k.
+    The two conventions are reciprocal; each is the natural one for its sweep
+    (the FIELD form stays pole-free when h crosses cos k).  Under ANISOTROPY
+    theta_f continues theta_i along the short great-circle arc, which keeps
+    tan(theta(t)) continuous when h - cos k < 0.  math.atan2 is applied per
+    element: numpy's arctan2 differs from it in the last place on some inputs.
+    """
+    ks = np.asarray(ks, dtype=float)
+    s, c = np.sin(ks), np.cos(ks)
+    bad = np.abs(s) < _SINK_TOL
+    if np.any(bad):
+        k = float(ks[np.argmax(bad)])
+        raise ValueError(f"k={k} has sin(k)=0; modes at 0 or pi carry no coupling")
+    if mode is Control.ANISOTROPY:
+        a = fixed - c  # fixed = h
+        bad = np.abs(a) < 1e-12
+        if np.any(bad):
+            raise ValueError(
+                f"h = cos(k) = {float(c[np.argmax(bad)])}: anisotropy mixing angle undefined"
+            )
+        y_i, y_f, x = p_i * s, p_f * s, a
+    elif mode is Control.FIELD:
+        y_i, y_f, x = p_i - c, p_f - c, s
+    else:
+        raise ValueError(f"unsupported geodesic mode: {mode}")
+    th_i = _atan2(y_i, x).astype(float)
+    th_f = _atan2(y_f, x).astype(float)
+    if mode is Control.ANISOTROPY:
+        # wrap th_f - th_i into (-pi, pi]
+        w = np.fmod(th_f - th_i + math.pi, 2 * math.pi)
+        w[w <= 0] += 2 * math.pi
+        th_f = th_i + (w - math.pi)
+    return th_i, th_f
 
 
 def xy_geodesic_schedule(
@@ -134,40 +167,17 @@ def xy_geodesic_schedule(
     fixed: float,
     T: float,
 ) -> Schedule:
-    """Per-mode geodesic for the chain: mixing angle affine in t for mode k.
-
-    mode=ANISOTROPY varies gamma at fixed h using tan(theta) = gamma sin k / (h - cos k);
-    mode=FIELD varies h at fixed gamma using tan(theta) = (h - cos k) / sin k.
-    The two conventions are reciprocal; each is the natural one for its sweep
-    (the FIELD form stays pole-free when h crosses cos k).
-    """
+    """Per-mode geodesic for the chain: mixing angle affine in t for mode k
+    (angle conventions in _xy_geodesic_angles)."""
     if T <= 0:
         raise ValueError(f"total time must be positive, got T={T}")
+    th_i, th_f = _xy_geodesic_angles([k], mode, p_i, p_f, fixed)
     s, c = math.sin(k), math.cos(k)
-    if abs(s) < _SINK_TOL:
-        raise ValueError(f"k={k} has sin(k)=0; modes at 0 or pi carry no coupling")
-    if mode is Control.ANISOTROPY:
-        a = fixed - c  # fixed = h
-        if abs(a) < 1e-12:
-            raise ValueError(f"h = cos(k) = {c}: anisotropy mixing angle undefined")
-        th_i = math.atan2(p_i * s, a)
-        th_f_raw = math.atan2(p_f * s, a)
-        # short great-circle arc; keeps tan(theta(t)) continuous when a < 0
-        th_f = th_i + _wrap_pi(th_f_raw - th_i)
-        return Schedule(
-            ScheduleKind.GEODESIC, Control.ANISOTROPY,
-            float(p_i), float(p_f), float(T),
-            theta_i=th_i, theta_f=th_f, scale=a / s, offset=0.0,
-        )
-    if mode is Control.FIELD:
-        th_i = math.atan2(p_i - c, s)
-        th_f = math.atan2(p_f - c, s)
-        return Schedule(
-            ScheduleKind.GEODESIC, Control.FIELD,
-            float(p_i), float(p_f), float(T),
-            theta_i=th_i, theta_f=th_f, scale=s, offset=c,
-        )
-    raise ValueError(f"unsupported geodesic mode: {mode}")
+    scale, offset = ((fixed - c) / s, 0.0) if mode is Control.ANISOTROPY else (s, c)
+    return Schedule(
+        ScheduleKind.GEODESIC, mode, float(p_i), float(p_f), float(T),
+        theta_i=float(th_i[0]), theta_f=float(th_f[0]), scale=scale, offset=offset,
+    )
 
 
 @dataclass(frozen=True)
@@ -194,6 +204,11 @@ class KickTrain:
         rounded down) stay kicks too.
         """
         return self.delta_t <= max(dt, dt_eff) * (1 + 1e-9)
+
+    def containing_steps(self, dt: float, n_steps: int) -> np.ndarray:
+        """Index of the step of width dt holding each kick time; times within
+        1e-9 steps of a grid node are snapped up to that node before flooring."""
+        return np.minimum(np.floor(self.kick_times / dt + 1e-9).astype(int), n_steps - 1)
 
 
 def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:

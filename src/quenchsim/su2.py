@@ -8,6 +8,12 @@ time-stepping loops never touch a generic matrix exponential.
 
 All functions here are pure; spinors are plain complex ndarrays of shape (2,)
 and unitaries are complex ndarrays of shape (2, 2).
+
+Both engines, a Landau-Zener sweep and every momentum mode of the chain,
+step one traceless generator H = -2 (a Z + d X) with the vectorized kernel
+below: step quaternions, their time-ordered product (a tree reduction, or
+every prefix of it for a trajectory) and the adiabaticity-error terms
+e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.
 """
 
 from __future__ import annotations
@@ -133,6 +139,9 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
 
     dx, dy, dz broadcast to a common shape S; returns an (S..., 2, 2) complex
     array of unitaries.  Entries with |d| = 0 yield exact identities.
+    The engines do not call it (they step on the quaternion kernel below);
+    it stays because the benchmark tracer, perfbench/tracer.py, wraps it by
+    name and its self-test requires the name to exist.
     """
     dx, dy, dz = np.broadcast_arrays(np.asarray(dx, float), np.asarray(dy, float), np.asarray(dz, float))
     r = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -147,3 +156,129 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
     out[..., 0, 1] = np.where(live, -1j * sn * (ux - 1j * uy), 0.0)
     out[..., 1, 0] = np.where(live, -1j * sn * (ux + 1j * uy), 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# quaternion kernel for traceless generators H = -2 (a Z + d X)
+# ---------------------------------------------------------------------------
+
+# SU(2) elements are held as real quaternions (..., 4):
+# U = q0 I + i (q1 X + q2 Y + q3 Z).  Composition then costs 16 real
+# multiplies on float arrays instead of batched complex 2x2 products.
+# Engines feed steps in chunks of _CHUNK; the tree product's bits depend on
+# where the chunks end, so changing it changes results in the last place.
+_CHUNK = 4096
+
+
+def _quat_steps(a: np.ndarray, d: np.ndarray, dt: float) -> np.ndarray:
+    """Step quaternions for exp(-i H dt), H = -2 (a Z + d X); shapes (..., 4).
+
+    A generator H = dx X + dz Z is the case a = -dz/2, d = -dx/2 (exact
+    power-of-two scaling).  Rows with a = d = 0 are exact identities.
+    """
+    r = np.sqrt(a * a + d * d)
+    r *= 2.0
+    ang = r * dt
+    q = np.empty(a.shape + (4,))
+    q[..., 0] = np.cos(ang)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.sin(ang) / r
+    zero = r == 0.0
+    if np.any(zero):
+        f[zero] = dt  # sin(r dt)/r -> dt as r -> 0
+    f *= 2.0
+    q[..., 1] = f * d
+    q[..., 2] = 0.0
+    q[..., 3] = f * a
+    return q
+
+
+def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(p0 + i p.sigma)(q0 + i q.sigma) = (p0 q0 - p.q) + i(p0 q + q0 p - p x q).sigma."""
+    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+    out[..., 1] = p0 * q1 + q0 * p1 - (p2 * q3 - p3 * q2)
+    out[..., 2] = p0 * q2 + q0 * p2 - (p3 * q1 - p1 * q3)
+    out[..., 3] = p0 * q3 + q0 * p3 - (p1 * q2 - p2 * q1)
+    return out
+
+
+def _quat_identity(nmodes: int) -> np.ndarray:
+    q = np.zeros((nmodes, 4))
+    q[:, 0] = 1.0
+    return q
+
+
+def _quat_to_unitary(q: np.ndarray) -> np.ndarray:
+    """(..., 4) quaternions -> (..., 2, 2) complex unitaries."""
+    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = q[..., 0] + 1j * q[..., 3]
+    out[..., 1, 1] = q[..., 0] - 1j * q[..., 3]
+    out[..., 0, 1] = q[..., 2] + 1j * q[..., 1]
+    out[..., 1, 0] = -q[..., 2] + 1j * q[..., 1]
+    return out
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """Reduce (S, M, 4) step quaternions to the time-ordered product
+    steps[S-1] * ... * steps[0] per mode, by pairwise tree contraction
+    (log(S) batched products instead of S Python-level ones)."""
+    while steps.shape[0] > 1:
+        s = steps.shape[0]
+        half = s // 2
+        merged = _quat_mul(steps[1 : 2 * half : 2], steps[0 : 2 * half : 2])
+        if s % 2:
+            steps = np.concatenate([merged, steps[-1:]], axis=0)
+        else:
+            steps = merged
+    return steps[0]
+
+
+def _prefix_product(steps: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """All time-ordered prefix products steps[j] * ... * steps[0] * carry,
+    j = 0..S-1, of (S, ..., 4) step quaternions.
+
+    Log-depth doubling scan (Blelloch, Prefix Sums and Their Applications,
+    CMU-CS-90-190, 1990): after the pass with offset w, row j holds the
+    product of rows max(0, j-2w+1)..j.  carry (shape (..., 4)) is the
+    product of everything before steps[0].
+    """
+    w = 1
+    while w < len(steps):
+        steps = np.concatenate([steps[:w], _quat_mul(steps[w:], steps[:-w])])
+        w *= 2
+    return _quat_mul(steps, carry)
+
+
+# ---------------------------------------------------------------------------
+# adiabaticity-error accumulation
+# ---------------------------------------------------------------------------
+
+
+def _phase_ramp(dphi: np.ndarray) -> np.ndarray:
+    """(e^{i dphi} - 1)/(i dphi), the exact mean of e^{i phi} over a segment
+    on which phi grows linearly by dphi; series fallback near zero (exactly
+    1 at dphi = 0)."""
+    small = np.abs(dphi) < 1e-8
+    safe = np.where(small, 1.0, dphi)
+    out = (np.exp(1j * safe) - 1.0) / (1j * safe)
+    return np.where(small, 1.0 + 1j * dphi / 2.0, out)
+
+
+def _err_terms(phase0, dphi: np.ndarray, dlam):
+    """Contributions of consecutive segments to integral of e^{i phi} d lambda.
+
+    Axis 0 of dphi runs over segments: on segment j the phase difference phi
+    grows linearly by dphi[j] across a lambda-width dlam[j] (a scalar, or an
+    array broadcasting against dphi).  A segment with dphi = 0 is a frozen
+    stretch.  Returns (terms, phi): terms[j] = e^{i phi_j} _phase_ramp(dphi[j])
+    dlam[j], and phi, one row longer than dphi, the phase at every segment
+    boundary starting from phase0.
+    """
+    phi = np.empty((len(dphi) + 1,) + dphi.shape[1:])
+    phi[0] = phase0
+    np.cumsum(dphi, axis=0, out=phi[1:])
+    phi[1:] += phase0
+    return np.exp(1j * phi[:-1]) * _phase_ramp(dphi) * dlam, phi

@@ -85,6 +85,13 @@ class TestLZCommand:
         assert float(rows[-1]["fidelity"]) >= 0.99
         assert os.path.exists(str(out) + ".manifest.txt")
 
+    def test_final_fidelity_printed_as_plain_float(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        assert cli.main(["lz", "--T", "1.0", "--dt", "1e-2", "-o", str(out)]) == 0
+        message = capsys.readouterr().out
+        final = message.split("final fidelity ")[1].rstrip(")\n")
+        assert final == repr(float(read_csv(out)[-1]["fidelity"]))
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "traj.csv"
         cli.main(["lz", "--T", "1.0", "--dt", "1e-2", "-o", str(out)])
@@ -123,6 +130,23 @@ class TestChainCommand:
                          "--dt", "1e-3", "-o", str(tmp_path / "d.csv"),
                          "--modes-out", str(tmp_path / "m.csv")])
         assert code == 2
+
+    def test_modes_out_rate_check_precedes_writing(self, tmp_path):
+        out, modes = tmp_path / "d.csv", tmp_path / "m.csv"
+        code = cli.main(["chain", "--spins", "8", "--rates", "1.0", "2.0",
+                         "--dt", "1e-3", "-o", str(out), "--modes-out", str(modes)])
+        assert code == 2
+        assert not out.exists()
+        assert not (tmp_path / "d.csv.manifest.txt").exists()
+        assert not modes.exists()
+
+    def test_mode_on_h_equal_cos_k_exits_2(self, tmp_path, capsys):
+        """Per-mode geodesic at anisotropy h = 0, N = 10 (k = pi/2 on h = cos k)."""
+        code = cli.main(["chain", "--regime", "anisotropy", "--h", "0", "0",
+                         "--strategy", "geo", "--per-mode-geodesic", "--spins", "10",
+                         "--rates", "1.0", "--dt", "1e-3", "-o", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "h = cos(k)" in capsys.readouterr().err
 
     def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
         """Same config gives identical bytes, for any worker count."""
@@ -204,3 +228,19 @@ class TestExitCodes:
     def test_validation_failure_maps_to_2(self, tmp_path):
         assert cli.main(["chain", "--spins", "8", "--dt", "1e-3",
                          "-o", str(tmp_path / "x.csv")]) == 2  # missing rates
+
+    def test_fit_missing_input_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["fit", "--input", str(missing), "--window", "0.1", "1.0",
+                         "-o", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["chain", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_output_in_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "traj.csv"
+        assert cli.main(["lz", "--T", "1.0", "--dt", "1e-2", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from quenchsim.landau_zener import LZConfig, adiabatic_error, evolve_lz, lz_hamiltonian
-from quenchsim.schedules import Strategy, kick_train
-from quenchsim.su2 import eig2
+from quenchsim.schedules import Strategy, kick_train, lz_geodesic_schedule
+from quenchsim.su2 import Herm2, eig2, expm_herm2
 
 
 def cfg_for(strategy, T, dt, nkicks=0, width=None, eps=0.1):
@@ -78,6 +78,13 @@ class TestEvolve:
             traj = evolve_lz(cfg_for(strategy, 1.0, 1e-3, nkicks=nk))
             assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-9
 
+    def test_norm_does_not_drift_over_long_runs(self):
+        """2e5 steps (49 kernel chunks): |psi| stays within 1e-14 of one.
+        Without projecting the propagator back onto SU(2) the reassociated
+        products drift it by -1.9e-12."""
+        traj = evolve_lz(cfg_for(Strategy.LIN, 20.0, 1e-4))
+        assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-14
+
     def test_dt_halving_converged(self):
         """Halving dt moves the final fidelity by < 1e-6 at T=1, eps=0.1."""
         for strategy in (Strategy.LIN, Strategy.GEO):
@@ -112,6 +119,77 @@ class TestEvolve:
         traj = evolve_lz(cfg_for(Strategy.GEO, 2.0, 1e-3))
         mags = traj.phase_diff_re**2 + traj.phase_diff_im**2
         assert np.allclose(mags, 1.0, atol=1e-12)
+
+
+def loop_reference(cfg):
+    """Fidelity, phase factor and adiabaticity error at every node from a
+    per-step loop: one expm_herm2 and one exact segment integral per step.
+
+    The generator of each step follows the documented sampling rules:
+    midpoint-sampled field or angle for the continuous strategies; for a
+    kick train of width <= dt the whole pi/2 area in the step holding each
+    kick time, with the angle at the kick time; for wider pulses the
+    envelope at the step midpoint.
+    """
+    n, dt = cfg.n_steps, cfg.dt_eff
+    if cfg.strategy is Strategy.LIN:
+        _, _, psi, _ = eig2(lz_hamiltonian(cfg.x_i, cfg.eps))
+        _, _, target, _ = eig2(lz_hamiltonian(cfg.x_f, cfg.eps))
+    else:
+        sched = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps, cfg.T)
+        psi = np.array([np.cos(sched.theta_i / 2), np.sin(sched.theta_i / 2)], dtype=complex)
+        target = np.array([np.cos(sched.theta_f / 2), np.sin(sched.theta_f / 2)], dtype=complex)
+    gen = np.zeros((n, 2))  # (dx, dz) per step
+    for s in range(n):
+        tmid = (s + 0.5) * dt
+        if cfg.strategy is Strategy.LIN:
+            gen[s] = (cfg.x_i + (cfg.x_f - cfg.x_i) * tmid / cfg.T) / 2, cfg.eps / 2
+        elif cfg.strategy is Strategy.GEO:
+            th = sched.theta(tmid)
+            gen[s] = np.sin(th) / 2, np.cos(th) / 2
+    kt = cfg.kicks
+    if kt is not None and kt.delta_t <= cfg.dt * (1 + 1e-9):
+        for t0 in kt.kick_times:
+            th = sched.theta(t0)
+            gen[int(np.floor(t0 / dt + 1e-9))] = np.array([np.sin(th), np.cos(th)]) * np.pi / (2 * dt)
+    elif kt is not None:
+        for s in range(n):
+            tmid = (s + 0.5) * dt
+            if any(t0 <= tmid < t0 + kt.delta_t for t0 in kt.kick_times):
+                th = sched.theta(tmid)
+                gen[s] = np.array([np.sin(th), np.cos(th)]) * kt.amplitude
+    fid, phase_re, phase_im, err = [abs(np.vdot(target, psi)) ** 2], [1.0], [0.0], [0.0]
+    phase, integral = 0.0, 0.0j
+    for dx, dz in gen:
+        psi = expm_herm2(Herm2(0.0, np.array([dx, 0.0, dz])), dt) @ psi
+        dphi = -2.0 * np.hypot(dx, dz) * dt
+        ramp = (np.exp(1j * dphi) - 1) / (1j * dphi) if dphi != 0 else 1.0
+        integral += np.exp(1j * phase) * ramp * dt / cfg.T
+        phase += dphi
+        fid.append(abs(np.vdot(target, psi)) ** 2)
+        phase_re.append(np.cos(phase))
+        phase_im.append(np.sin(phase))
+        err.append(abs(integral))
+    return np.array(fid), np.array(phase_re), np.array(phase_im), np.array(err)
+
+
+class TestAgainstStepLoop:
+    @pytest.mark.parametrize("strategy,width", [
+        (Strategy.LIN, None), (Strategy.GEO, None),
+        (Strategy.GEO_JUMP, 1.0), (Strategy.GEO_JUMP, 10.0),
+    ])
+    def test_every_node_matches(self, strategy, width):
+        """5000 steps (more than one kernel chunk): every node agrees with
+        the per-step loop within 1e-12."""
+        T, dt = 0.5, 1e-4
+        cfg = cfg_for(strategy, T, dt, nkicks=10, width=width * dt if width else None)
+        traj = evolve_lz(cfg)
+        fid, ph_re, ph_im, err = loop_reference(cfg)
+        assert len(fid) == len(traj.fidelity) == 5001
+        assert np.abs(traj.fidelity - fid).max() < 1e-12
+        assert np.abs(traj.phase_diff_re - ph_re).max() < 1e-12
+        assert np.abs(traj.phase_diff_im - ph_im).max() < 1e-12
+        assert np.abs(traj.err - err).max() < 1e-12
 
 
 class TestAdiabaticError:

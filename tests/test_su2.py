@@ -11,6 +11,14 @@ from quenchsim.su2 import (
     SPIN_DOWN,
     SPIN_UP,
     Herm2,
+    _err_terms,
+    _ordered_product,
+    _phase_ramp,
+    _prefix_product,
+    _quat_identity,
+    _quat_mul,
+    _quat_steps,
+    _quat_to_unitary,
     eig2,
     expm_bloch_batch,
     expm_herm2,
@@ -217,3 +225,86 @@ class TestExpmBlochBatch:
     def test_zero_generator_rows_are_identity(self):
         batch = expm_bloch_batch(np.array([0.0, 1.0]), 0.0, np.array([0.0, 0.5]), 1.1)
         assert np.array_equal(batch[0], IDENT)
+
+
+def bloch_steps(dx, dz, dt):
+    """Unitaries exp(-i (dx X + dz Z) dt) from the quaternion kernel, which
+    takes H = -2 (a Z + d X): a = -dz/2, d = -dx/2."""
+    return _quat_to_unitary(_quat_steps(-np.asarray(dz) / 2, -np.asarray(dx) / 2, dt))
+
+
+def random_quats(rng, shape):
+    """Unit quaternions with q2 = 0, as the kernel's step quaternions are."""
+    a, d = rng.uniform(-2, 2, size=(2,) + shape)
+    return _quat_steps(a, d, rng.uniform(0.1, 1.0))
+
+
+class TestQuatSteps:
+    def test_matches_scalar_expm(self):
+        rng = np.random.RandomState(29)
+        dx, _, dz = rng.uniform(-2, 2, size=(3, 6))  # the kernel has no Y component
+        batch = bloch_steps(dx, dz, 0.4)
+        for i in range(6):
+            single = expm_herm2(Herm2(0.0, np.array([dx[i], 0.0, dz[i]])), 0.4)
+            assert np.abs(batch[i] - single).max() < 1e-14
+
+    def test_zero_generator_rows_are_identity(self):
+        batch = bloch_steps(np.array([0.0, 1.0]), np.array([0.0, 0.5]), 1.1)
+        assert np.array_equal(batch[0], IDENT)
+
+
+def sequential_products(steps, carry):
+    """steps[j] ... steps[0] carry for every j, one product at a time."""
+    out, acc = [], carry
+    for q in steps:
+        acc = _quat_mul(q, acc)
+        out.append(acc)
+    return np.array(out)
+
+
+class TestProducts:
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 1001])
+    def test_prefix_product_matches_sequential(self, length):
+        rng = np.random.RandomState(length)
+        steps = random_quats(rng, (length, 3))
+        carry = random_quats(rng, (3,))
+        ref = sequential_products(steps, carry)
+        assert np.abs(_prefix_product(steps, carry) - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 1001])
+    def test_ordered_product_is_last_prefix(self, length):
+        rng = np.random.RandomState(100 + length)
+        steps = random_quats(rng, (length, 3))
+        ref = sequential_products(steps, _quat_identity(3))[-1]
+        assert np.abs(_ordered_product(steps) - ref).max() < 1e-13
+
+    def test_product_order_is_later_on_the_left(self):
+        """The product of two steps is the unitary U1 @ U0."""
+        rng = np.random.RandomState(5)
+        steps = random_quats(rng, (2, 1))
+        U = _quat_to_unitary(steps)
+        prod = _quat_to_unitary(_prefix_product(steps, _quat_identity(1)))
+        assert np.abs(prod[1] - U[1] @ U[0]).max() < 1e-15
+
+
+class TestErrTerms:
+    def test_phase_ramp_is_exactly_one_at_zero(self):
+        assert _phase_ramp(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+    def test_frozen_segments_add_their_widths(self):
+        """dphi = 0 everywhere: each term is e^{i phase0} dlam exactly."""
+        dlam = np.array([[0.25], [0.5], [0.125]])
+        terms, phi = _err_terms(np.array([0.3]), np.zeros((3, 1)), dlam)
+        assert np.array_equal(terms, np.exp(0.3j) * dlam)
+        assert np.array_equal(phi, np.full((4, 1), 0.3))
+
+    def test_linear_phase_integrates_exactly(self):
+        """phi = 2 pi m lambda split into segments integrates to the closed
+        form (e^{i phi(1)} - 1)/(i phi(1)), here zero, for any split."""
+        rng = np.random.RandomState(41)
+        widths = rng.uniform(0.1, 1.0, size=50)
+        widths /= widths.sum()
+        slope = 2 * np.pi * 3
+        terms, phi = _err_terms(0.0, slope * widths, widths)
+        assert abs(terms.sum()) < 1e-13
+        assert phi[-1] == pytest.approx(slope, rel=1e-14)
