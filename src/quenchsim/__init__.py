@@ -32,11 +32,9 @@ from .schedules import (
     Control,
     KickTrain,
     Schedule,
-    ScheduleKind,
     Strategy,
     fs_metric_gamma,
     kick_train,
-    linear_schedule,
     lz_geodesic_schedule,
     xy_geodesic_schedule,
 )
@@ -45,12 +43,12 @@ from .su2 import Herm2, eig2, expm_herm2, fidelity, su2_rotation
 __all__ = [
     "__version__",
     "ChainConfig", "Control", "DefectResult", "Herm2", "KMode", "KickTrain",
-    "LZConfig", "Regime", "ScalingFit", "Schedule", "ScheduleKind", "Strategy",
+    "LZConfig", "Regime", "ScalingFit", "Schedule", "Strategy",
     "Trajectory", "adiabatic_error", "defect_density", "eig2",
     "evolve_lz", "evolve_mode_kicks_exact", "evolve_mode_stepwise",
     "evolve_modes", "excitation_prob", "expm_herm2", "fidelity",
     "fit_power_law", "fs_metric_gamma", "ground_excited", "kick_pk_leading_order",
-    "kick_train", "kmode", "kmode_hamiltonian", "kz_exponent", "linear_schedule",
+    "kick_train", "kmode", "kmode_hamiltonian", "kz_exponent",
     "lz_geodesic_schedule", "lz_hamiltonian", "momentum_grid",
     "phi_y_amplitude", "plateau_asymptotic", "run_chain", "su2_rotation",
     "xy_geodesic_schedule",

@@ -46,37 +46,35 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _atomic_write(path: str, header: list[str], rows: Iterable[tuple]) -> None:
+def _write_atomically(path: str, write) -> None:
+    """write(fh) into a temporary file in the target directory, then rename
+    it into place, so an interrupted run leaves no partial file at path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, header: list[str], rows: Iterable[tuple]) -> None:
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+    _write_atomically(path, write)
 
 
 def _write_manifest(out_path: str, resolved: dict) -> str:
     path = out_path + ".manifest.txt"
-    lines = [f"quenchsim {__version__}"]
-    for key in sorted(resolved):
-        lines.append(f"{key} = {_fmt(resolved[key])}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [f"quenchsim {__version__}"] + [f"{k} = {_fmt(resolved[k])}" for k in sorted(resolved)]
+    _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     return path
 
 
@@ -89,15 +87,15 @@ def _parse_rates(tokens: list) -> list[float]:
             raise ValueError("log rate range needs exactly: log MIN MAX COUNT")
         lo, hi = float(tokens[1]), float(tokens[2])
         count = int(tokens[3])
-        if lo <= 0 or hi <= 0:
-            raise ValueError(f"log-spaced rates require positive bounds, got {lo}, {hi}")
+        if not (0 < lo < math.inf and 0 < hi < math.inf):
+            raise ValueError(f"log-spaced rates require positive finite bounds, got {lo}, {hi}")
         if count < 2:
             raise ValueError(f"log rate range needs at least 2 points, got {count}")
         step = (math.log10(hi) - math.log10(lo)) / (count - 1)
         return [10 ** (math.log10(lo) + i * step) for i in range(count)]
     rates = [float(t) for t in tokens]
-    if any(r <= 0 for r in rates):
-        raise ValueError("rates must be positive")
+    if not all(0 < r < math.inf for r in rates):
+        raise ValueError(f"rates must be positive and finite, got {rates}")
     return rates
 
 
@@ -112,6 +110,29 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _convert(action: argparse.Action, value):
+    """A config-file value converted as its flag converts the command line:
+    the flag's item count, its type applied to each item's text, and its
+    choices.  So {"kicks": 2.5} fails like --kicks 2.5 does."""
+    if action.nargs == 0:  # an on/off flag
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"expected true or false, got {value!r}")
+    items = [value] if action.nargs is None else value
+    want = "1 or more" if action.nargs == "+" else action.nargs
+    if not isinstance(items, list) or not items or isinstance(want, int) and len(items) != want:
+        raise ValueError(f"expected a list of {want} value(s), got {value!r}")
+    out = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"invalid value {item!r}")
+        item = action.type(str(item)) if action.type else str(item)
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"invalid choice {item!r} (choose from {', '.join(action.choices)})")
+        out.append(item)
+    return out[0] if action.nargs is None else out
+
+
 def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
     """defaults <- config file <- explicit command-line flags."""
     resolved = dict(defaults)
@@ -120,7 +141,12 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        resolved.update(file_cfg)
+        actions = {a.dest: a for a in ns.parser._actions}
+        for key, value in file_cfg.items():
+            try:
+                resolved[key] = _convert(actions[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{ns.config}: {key}: {exc}") from exc
     for key in defaults:
         val = getattr(ns, key, None)
         if val is not None:
@@ -153,21 +179,23 @@ _LZ_DEFAULTS = {
 }
 
 
+def _kicks_for(strategy: Strategy, kicks: int, T: float, pulse_width: float, dt: float):
+    """The pulse train of a geojump run (width 0 means dt), else None."""
+    if strategy is not Strategy.GEO_JUMP:
+        if kicks:
+            raise ValueError(f"--kicks conflicts with strategy {strategy.value}")
+        return None
+    if kicks < 1:
+        raise ValueError("geojump strategy requires --kicks >= 1")
+    return kick_train(int(kicks), T, pulse_width or dt)
+
+
 def _build_lz_config(cfg: dict) -> LZConfig:
     strategy = Strategy(cfg["strategy"])
-    if strategy is Strategy.GEO_JUMP:
-        if cfg["kicks"] < 1:
-            raise ValueError("geojump strategy requires --kicks >= 1")
-        width = cfg["pulse_width"] or cfg["dt"]
-        kicks = kick_train(int(cfg["kicks"]), cfg["T"], width)
-    else:
-        if cfg["kicks"]:
-            raise ValueError(f"--kicks conflicts with strategy {strategy.value}")
-        kicks = None
     x_i, x_f = cfg["x"]
     return LZConfig(
-        eps=cfg["eps"], x_i=x_i, x_f=x_f, T=cfg["T"], dt=cfg["dt"],
-        strategy=strategy, kicks=kicks,
+        eps=cfg["eps"], x_i=x_i, x_f=x_f, T=cfg["T"], dt=cfg["dt"], strategy=strategy,
+        kicks=_kicks_for(strategy, cfg["kicks"], cfg["T"], cfg["pulse_width"], cfg["dt"]),
     )
 
 
@@ -229,35 +257,29 @@ def _build_chain_config(cfg: dict, strategy: Strategy, rate: float,
     gamma = cfg["gamma"] if cfg["gamma"] is not None else gamma_def
     h = cfg["h"] if cfg["h"] is not None else h_def
     T = 1.0 / rate
-    if strategy is Strategy.GEO_JUMP:
-        if kicks < 1:
-            raise ValueError("geojump strategy requires --kicks >= 1")
-        width = pulse_width or cfg["dt"]
-        train = kick_train(int(kicks), T, width)
-    else:
-        if kicks:
-            raise ValueError(f"--kicks conflicts with strategy {strategy.value}")
-        train = None
     return ChainConfig(
         n_spins=int(cfg["spins"]), regime=regime,
         gamma_i=gamma[0], gamma_f=gamma[1], h_i=h[0], h_f=h[1],
-        T=T, dt=cfg["dt"], strategy=strategy, kicks=train,
+        T=T, dt=cfg["dt"], strategy=strategy,
+        kicks=_kicks_for(strategy, kicks, T, pulse_width, cfg["dt"]),
         collective_geodesic=not cfg["per_mode_geodesic"],
     )
 
 
-def _defect_task(payload: dict) -> tuple:
-    """Worker entry: run one (strategy, rate, kicks, width) cell."""
+def _defect_task(payload: dict, track_err: bool = False) -> tuple:
+    """Worker entry: run one (strategy, rate, kicks, width) cell; returns
+    (defect row, DefectResult, per-mode error or None)."""
     chain = _build_chain_config(
         payload["cfg"], Strategy(payload["strategy"]), payload["rate"],
         payload["kicks"], payload["pulse_width"],
     )
-    result, _ = run_chain(chain)
+    result, err = run_chain(chain, track_err=track_err)
     width = chain.kicks.delta_t if chain.kicks is not None else 0.0
-    return (
+    row = (
         payload["rate"], payload["strategy"], payload["cfg"]["regime"],
         payload["kicks"], width, result.n_defect,
     )
+    return row, result, err
 
 
 _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect"]
@@ -270,9 +292,11 @@ def _run_cells(cfg: dict, cells: list[dict]) -> list[tuple]:
                             cell["kicks"], cell["pulse_width"])
     workers = _resolve_workers(cfg["workers"])
     if workers == 1 or len(cells) == 1:
-        return [_defect_task(c) for c in cells]
-    with Pool(min(workers, len(cells))) as pool:
-        return pool.map(_defect_task, cells)
+        results = [_defect_task(c) for c in cells]
+    else:
+        with Pool(min(workers, len(cells))) as pool:
+            results = pool.map(_defect_task, cells)
+    return [row for row, _, _ in results]
 
 
 def _run_chain_cmd(ns: argparse.Namespace) -> int:
@@ -287,19 +311,20 @@ def _run_chain_cmd(ns: argparse.Namespace) -> int:
          "kicks": int(cfg["kicks"]), "pulse_width": cfg["pulse_width"]}
         for r in rates
     ]
-    rows = _run_cells(cfg, cells)
+    if cfg["modes_out"]:
+        # one run gives the defect row and the mode table: p_k does not
+        # depend on track_err
+        row, result, err = _defect_task(cells[0], track_err=True)
+        rows = [row]
+    else:
+        rows = _run_cells(cfg, cells)
     _atomic_write(cfg["out"], _SWEEP_HEADER, rows)
     resolved = dict(cfg)
     resolved["rates"] = [float(r) for r in rates]
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if cfg["modes_out"]:
-        chain = _build_chain_config(cfg, Strategy(cfg["strategy"]), rates[0],
-                                    int(cfg["kicks"]), cfg["pulse_width"])
-        result, err = run_chain(chain, track_err=True)
-        mode_rows = [
-            (k, p, e) for (k, p), e in zip(result.pk.items(), err)
-        ]
+        mode_rows = [(k, p, e) for (k, p), e in zip(result.pk.items(), err)]
         _atomic_write(cfg["modes_out"], ["k", "p_k", "err_k"], mode_rows)
         _write_manifest(cfg["modes_out"], resolved)
         written.append(cfg["modes_out"])
@@ -312,15 +337,11 @@ def _run_sweep(ns: argparse.Namespace) -> int:
     if cfg["rates"] is None:
         raise ValueError("sweep requires --rates (list or: log MIN MAX COUNT)")
     rates = _parse_rates(cfg["rates"])
-    strategies = cfg["strategy"] if isinstance(cfg["strategy"], list) else [cfg["strategy"]]
-    kick_list = cfg["kicks"] if isinstance(cfg["kicks"], list) else [cfg["kicks"]]
-    width_list = (cfg["pulse_width"] if isinstance(cfg["pulse_width"], list)
-                  else [cfg["pulse_width"]])
     cells = []
-    for strat in strategies:
+    for strat in cfg["strategy"]:
         is_jump = Strategy(strat) is Strategy.GEO_JUMP
-        for nk in (kick_list if is_jump else [0]):
-            for width in (width_list if is_jump else [0.0]):
+        for nk in (cfg["kicks"] if is_jump else [0]):
+            for width in (cfg["pulse_width"] if is_jump else [0.0]):
                 for r in rates:
                     cells.append({"cfg": cfg, "strategy": strat, "rate": r,
                                   "kicks": int(nk), "pulse_width": width})
@@ -350,7 +371,7 @@ def _run_fit(ns: argparse.Namespace) -> int:
         raise ValueError("fit requires --input CSV")
     if cfg["window"] is None:
         raise ValueError("fit requires --window MIN MAX")
-    lo, hi = float(cfg["window"][0]), float(cfg["window"][1])
+    lo, hi = cfg["window"]
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
     with open(cfg["input"], newline="") as fh:
         reader = csv.DictReader(fh)
@@ -368,9 +389,7 @@ def _run_fit(ns: argparse.Namespace) -> int:
               f"exponent={fit.exponent:.4f} r2={fit.r_squared:.6f}")
     _atomic_write(cfg["out"], ["regime", "strategy", "exponent", "r_squared",
                                "window_min", "window_max"], rows)
-    resolved = dict(cfg)
-    resolved["window"] = [lo, hi]
-    _write_manifest(cfg["out"], resolved)
+    _write_manifest(cfg["out"], cfg)
     return 0
 
 
@@ -401,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kicks", type=int)
     p.add_argument("--pulse-width", dest="pulse_width", type=float)
     _add_common(p)
-    p.set_defaults(func=_run_lz)
+    p.set_defaults(func=_run_lz, parser=p)
 
     for name, help_text, multi in (
         ("chain", "one chain protocol across quench rates", False),
@@ -432,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modes-out", dest="modes_out",
                            help="per-mode CSV (k, p_k, err_k); single rate only")
         _add_common(p)
-        p.set_defaults(func=_run_chain_cmd if not multi else _run_sweep)
+        p.set_defaults(func=_run_chain_cmd if not multi else _run_sweep, parser=p)
 
     p = sub.add_parser("fit", help="log-log power-law fit of a defect table")
     p.add_argument("--input", help="defect CSV with columns rate, n_defect")
     p.add_argument("--window", type=float, nargs=2, metavar=("MIN", "MAX"))
     _add_common(p)
-    p.set_defaults(func=_run_fit)
+    p.set_defaults(func=_run_fit, parser=p)
 
     return parser
 

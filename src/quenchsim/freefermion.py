@@ -21,10 +21,14 @@ product of SU(2) rotations with kick angles pi * E_k(theta_j); that product
 contains no time variable, so excitation probabilities are then strictly
 independent of the quench rate.
 
-Evolution across modes is vectorized on the quaternion kernel of su2, which
-the Landau-Zener engine shares: step quaternions reduced by a time-ordered
-tree product per chunk of steps.  The adiabaticity error of every driving is
-summed from su2._err_terms segments; the frozen stretch between two kicks is
+Every driving is a path sampler (a, d)(lambda) over the scaled time
+lambda = t/T, plus, for kicked runs, the steps that KickTrain.layout puts the
+pulses in.  One loop, evolve_modes, runs them all on the quaternion kernel of
+su2, which the Landau-Zener engine shares: its rows are every grid step of a
+continuous drive or the layout's entries of a kicked one, reduced by a
+time-ordered tree product per chunk of rows.  The adiabaticity error is
+summed from su2._err_terms over the same rows; the frozen stretch before a
+kicked row that does not follow its predecessor, and after the last one, is
 a segment with no phase growth.  Per-(mode, rate) work is pure and can be
 farmed out to worker processes with an ordered reduction.
 """
@@ -38,7 +42,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .schedules import Control, KickTrain, Strategy, _xy_geodesic_angles
+from .schedules import Control, KickTrain, Strategy, _check_finite, _xy_geodesic_angles
 from .su2 import _CHUNK, Herm2, _err_terms, _ordered_product, _quat_identity, _quat_mul
 from .su2 import _quat_steps, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
@@ -143,6 +147,7 @@ class ChainConfig:
     collective_geodesic: bool = True
 
     def __post_init__(self):
+        _check_finite(self, ("gamma_i", "gamma_f", "h_i", "h_f", "T", "dt"))
         if self.n_spins < 2 or self.n_spins % 2 != 0:
             raise ValueError(f"n_spins must be even and >= 2, got {self.n_spins}")
         if self.T <= 0 or self.dt <= 0:
@@ -151,6 +156,8 @@ class ChainConfig:
             raise ValueError("kicks must be given exactly when strategy is geojump")
         if self.kicks is not None and abs(self.kicks.T - self.T) > 1e-9 * self.T:
             raise ValueError(f"kick train spans T={self.kicks.T}, run spans T={self.T}")
+        if self.kicks is not None:
+            self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
         if self.regime is Regime.ISING:
             if self.gamma_i != 1.0 or self.gamma_f != 1.0:
                 raise ValueError(
@@ -255,35 +262,30 @@ def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray,
     return _xy_geodesic_angles(ks, Control.ANISOTROPY, cfg.gamma_i, cfg.gamma_f, cfg.h_i)
 
 
-def _geodesic_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
-    """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M) on the per-mode
-    geodesics, the mixing angle of each mode affine in the scaled time frac."""
-    s, c = np.sin(ks), np.cos(ks)
-    th_i, th_f = _mode_geodesic_angles(cfg, ks)
-
-    def fn(frac):
-        th = th_i[None, :] + (th_f - th_i)[None, :] * frac[:, None]
-        if cfg.varies_h:
-            # field convention: tan(theta) = (h - cos k)/sin k
-            return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape)
-        # anisotropy convention: tan(theta) = gamma sin k / a
-        a = cfg.h_i - c
-        return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
-
-    return fn
-
-
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
-    """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M) for the continuous
-    strategies, where H_k = -2 (a Z + d X)."""
-    if cfg.strategy not in (Strategy.LIN, Strategy.GEO):
-        raise ValueError(f"no continuous path for strategy {cfg.strategy}")
-    if cfg.strategy is Strategy.GEO and not cfg.collective_geodesic:
-        return _geodesic_components(cfg, ks)
+    """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M), where
+    H_k = -2 (a Z + d X), on the path of cfg's strategy: the linear or the
+    collective arc-length ramp of the varying control, or the per-mode
+    geodesics (per-mode GEO, and the kick angles of GEO_JUMP), on which the
+    mixing angle of each mode is affine in the scaled time frac."""
+    s, c = np.sin(ks), np.cos(ks)
+    if cfg.strategy is Strategy.GEO_JUMP or (
+        cfg.strategy is Strategy.GEO and not cfg.collective_geodesic
+    ):
+        th_i, th_f = _mode_geodesic_angles(cfg, ks)
+
+        def geodesic(frac):
+            th = th_i[None, :] + (th_f - th_i)[None, :] * frac[:, None]
+            if cfg.varies_h:
+                # field convention: tan(theta) = (h - cos k)/sin k
+                return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape)
+            # anisotropy convention: tan(theta) = gamma sin k / a
+            a = cfg.h_i - c
+            return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
+
+        return geodesic
     # the varying control: linear ramp, or the collective arc-length ramp
     ramp = collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO else None
-    s = np.sin(ks)
-    c = np.cos(ks)
 
     def fn(frac):
         if ramp is None:
@@ -297,125 +299,69 @@ def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
     return fn
 
 
-def _evolve_continuous(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
-    """Full time stepping for LIN / GEO; returns (U (M,2,2), err or None)."""
-    nmodes = len(ks)
-    fn = _bloch_components(cfg, ks)
-    n = cfg.n_steps
-    dt = cfg.dt_eff
-    Uq = _quat_identity(nmodes)
-    phase = np.zeros(nmodes)
-    integral = np.zeros(nmodes, dtype=complex)
-    dlam = dt / cfg.T
-    for start in range(0, n, _CHUNK):
-        ns = min(_CHUNK, n - start)
-        frac = (start + np.arange(ns) + 0.5) * dt / cfg.T
-        a, d = fn(frac)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-            bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
-            raise RuntimeError(
-                f"non-finite control at step {start + bad[0]}, mode index {bad[1]}"
-            )
-        Uq = _quat_mul(_ordered_product(_quat_steps(a, d, dt)), Uq)
-        if track_err:
-            # E0 - E1 = -4 E_k per unit time
-            terms, phi = _err_terms(phase, -4.0 * np.hypot(a, d) * dt, dlam)
-            integral += terms.sum(axis=0)
-            phase = phi[-1]
-    return _quat_to_unitary(Uq), (np.abs(integral) if track_err else None)
-
-
-def _kick_parameters(cfg: ChainConfig, ks: np.ndarray):
-    """(a, d) arrays of shape (n_kicks, M) sampled on the per-mode geodesic at
-    the scaled kick midpoints (2j-1)/(2n).
-
-    The scaled positions are built directly from the kick count, not from
-    kick_times / T, so the result carries no trace of T at all (single-sample
-    kick runs are bitwise identical across quench rates).
-    """
-    nk = cfg.kicks.n_kicks
-    return _geodesic_components(cfg, ks)((2 * np.arange(1, nk + 1) - 1) / (2 * nk))
-
-
 def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Time-ordered product over kicks of exp(+i pi E_j n_j.sigma) for
     H_j = -2 (a_j Z + d_j X) and pulse area pi/2; a, d have shape (n_kicks, M)."""
     return _quat_to_unitary(_ordered_product(_quat_steps(a, d, np.pi / 2)))
 
 
-def _evolve_kicked(cfg: ChainConfig, ks: np.ndarray, track_err: bool):
-    """Kicked-geodesic evolution.
-
-    Pulse width equal to the requested step cfg.dt (or smaller) is treated
-    as a single-sample kick at every T, also where T/dt rounds up and the
-    actual step dt_eff = T/round(T/dt) falls below cfg.dt (see
-    KickTrain.single_sample): the full pi/2 area acts in the step
-    containing the kick time, with the geodesic angle evaluated at the kick
-    time itself.  The resulting operator is exactly the ordered SU(2) kick
-    product and carries no dependence on T.  Wider pulses are integrated
-    step by step with midpoint-sampled envelope and angle, which restores
-    rate dependence.  Between pulses the generator vanishes: the phase is
-    frozen there and the error integral grows by e^{i phi} per unit lambda.
-    """
-    kt = cfg.kicks
-    dt = cfg.dt_eff
-    nmodes = len(ks)
-    if kt.single_sample(cfg.dt, dt):
-        a, d = _kick_parameters(cfg, ks)
-        U = _kick_product(a, d)
-        err = None
-        if track_err:
-            # segments: gap, pulse, gap, ..., pulse, gap
-            start = kt.containing_steps(dt, cfg.n_steps) * dt / cfg.T
-            end = start + dt / cfg.T
-            dphi = np.zeros((2 * kt.n_kicks + 1, nmodes))
-            dphi[1::2] = -2.0 * np.pi * np.hypot(a, d)  # -2 alpha_kj per kick
-            dlam = np.empty((2 * kt.n_kicks + 1, 1))
-            dlam[0::2, 0] = np.append(start, 1.0) - np.append(0.0, end)
-            dlam[1::2, 0] = dt / cfg.T
-            terms, _ = _err_terms(0.0, dphi, dlam)
-            err = np.abs(terms.sum(axis=0))
-        return U, err
-
-    # finite-width pulses: enumerate the steps whose midpoints fall in windows
-    geo = _geodesic_components(cfg, ks)
-    Uq = _quat_identity(nmodes)
-    phase = np.zeros(nmodes)
-    integral = np.zeros(nmodes, dtype=complex)
-    end_lam = 0.0
-    amp = kt.amplitude
-    for t0 in kt.kick_times:
-        i0 = int(np.ceil(t0 / dt - 0.5))
-        i1 = int(np.ceil((t0 + kt.delta_t) / dt - 0.5))
-        i0, i1 = max(i0, 0), min(i1, cfg.n_steps)
-        if i1 <= i0:
-            continue
-        a, d = geo((np.arange(i0, i1) + 0.5) * dt / cfg.T)
-        Uq = _quat_mul(_ordered_product(_quat_steps(amp * a, amp * d, dt)), Uq)
-        if track_err:
-            # segments: the gap since the previous pulse, then this pulse's steps
-            dphi = np.zeros((i1 - i0 + 1, nmodes))
-            dphi[1:] = -4.0 * amp * np.hypot(a, d) * dt
-            dlam = np.full((i1 - i0 + 1, 1), dt / cfg.T)
-            dlam[0] = i0 * dt / cfg.T - end_lam
-            terms, phi = _err_terms(phase, dphi, dlam)
-            integral += terms.sum(axis=0)
-            phase, end_lam = phi[-1], i1 * dt / cfg.T
-    err = None
-    if track_err:
-        terms, _ = _err_terms(phase, np.zeros((1, nmodes)), 1.0 - end_lam)
-        err = np.abs(integral + terms[0])
-    return _quat_to_unitary(Uq), err
-
-
 def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool = False):
-    """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None)."""
+    """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
+
+    The rows are every grid step of a continuous drive, or the entries of
+    the kick layout (KickTrain.layout), each sampled on the drive's path at
+    its scaled time and acting for its own area.  Single-sample kicks
+    thereby reduce to the ordered SU(2) kick product, with no dependence on
+    T.  Between kicked rows the generator vanishes: the phase is frozen
+    there and the error integral grows by e^{i phi} per unit lambda.
+    """
     if ks is None:
         ks = momentum_grid(cfg.n_spins)
     ks = np.asarray(ks, dtype=float)
-    if cfg.strategy is Strategy.GEO_JUMP:
-        return _evolve_kicked(cfg, ks, track_err)
-    return _evolve_continuous(cfg, ks, track_err)
+    nmodes = len(ks)
+    fn = _bloch_components(cfg, ks)
+    dt = cfg.dt_eff
+    dlam = dt / cfg.T
+    n_rows = cfg.n_steps
+    if cfg.kicks is not None:
+        idx, lam, area = cfg.kicks.layout(cfg.dt, cfg.n_steps)
+        n_rows = len(idx)
+        # frozen stretches: one before each row that does not follow its
+        # predecessor, and one after the last row
+        end_lam = idx * dt / cfg.T + dlam
+        jump = idx != np.append(0, idx[:-1] + 1)
+        gap = idx * dt / cfg.T - np.append(0.0, end_lam[:-1])
+    Uq = _quat_identity(nmodes)
+    phase = np.zeros(nmodes)
+    integral = np.zeros(nmodes, dtype=complex)
+    for start in range(0, n_rows, _CHUNK):
+        ns = min(_CHUNK, n_rows - start)
+        if cfg.kicks is None:
+            frac, h = (start + np.arange(ns) + 0.5) * dt / cfg.T, dt
+        else:
+            rows = slice(start, start + ns)
+            frac, h = lam[rows], area[rows, None]
+        a, d = fn(frac)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+            bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
+            raise RuntimeError(
+                f"non-finite control at row {start + bad[0]}, mode index {bad[1]}"
+            )
+        Uq = _quat_mul(_ordered_product(_quat_steps(a, d, h)), Uq)
+        if track_err:
+            # E0 - E1 = -4 E_k per unit time
+            dphi, w = -4.0 * np.hypot(a, d) * h, dlam
+            if cfg.kicks is not None:
+                at = np.flatnonzero(jump[rows])
+                dphi = np.insert(dphi, at, 0.0, axis=0)
+                w = np.insert(np.full(ns, dlam), at, gap[rows][at])[:, None]
+            terms, phi = _err_terms(phase, dphi, w)
+            integral += terms.sum(axis=0)
+            phase = phi[-1]
+    if track_err and cfg.kicks is not None:
+        terms, _ = _err_terms(phase, np.zeros((1, nmodes)), 1.0 - end_lam[-1])
+        integral += terms[0]
+    return _quat_to_unitary(Uq), (np.abs(integral) if track_err else None)
 
 
 def evolve_mode_stepwise(k: float, cfg: ChainConfig) -> np.ndarray:

@@ -5,8 +5,10 @@ strategy drives the unit Bloch direction (sin theta, 0, cos theta)/2 with
 theta affine in time; the kicked-geodesic strategy multiplies the *unit*
 direction n(theta).sigma by the square-pulse envelope of a KickTrain, so each
 area-pi/2 pulse is a pi rotation about the instantaneous axis and shifts the
-dynamical phase difference between the two levels by exactly pi.  Between
-pulses the generator vanishes and the state is frozen.
+dynamical phase difference between the two levels by exactly pi.  The kicked
+steps, their angles and their areas come from KickTrain.layout, the rule the
+chain uses too; between pulses the generator vanishes and the state is
+frozen.
 
 Time stepping is piecewise-constant with midpoint-sampled parameters and the
 closed-form step propagator, on the same quaternion kernel as the chain
@@ -17,7 +19,8 @@ state norm is preserved to rounding.  A run records four diagnostics along
 the way: fidelity against the target ground state, the instantaneous gap of
 the full (envelope-included) generator, the accumulated
 dynamical-phase-difference factor e^{i phi}, and the adiabaticity error
-|integral of e^{i phi} d lambda|.
+|integral of e^{i phi} d lambda|.  For a kicked run the gap at node i is
+2 * amplitude of step i: nonzero exactly at the steps the layout fills.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import KickTrain, Strategy, lz_geodesic_schedule
+from .schedules import KickTrain, Strategy, _check_finite, lz_geodesic_schedule
 from .su2 import _CHUNK, Herm2, _err_terms, _prefix_product, _quat_identity, _quat_steps
 from .su2 import _quat_to_unitary, eig2
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
@@ -45,6 +48,7 @@ class LZConfig:
     kicks: KickTrain | None = None
 
     def __post_init__(self):
+        _check_finite(self, ("eps", "x_i", "x_f", "T", "dt"))
         if self.T <= 0:
             raise ValueError(f"total time must be positive, got T={self.T}")
         if self.dt <= 0:
@@ -59,6 +63,8 @@ class LZConfig:
             raise ValueError(
                 f"kick train spans T={self.kicks.T}, run spans T={self.T}"
             )
+        if self.kicks is not None:
+            self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
         if self.strategy is not Strategy.LIN and self.eps == 0:
             raise ValueError("geodesic strategies require eps != 0")
 
@@ -90,12 +96,6 @@ def lz_hamiltonian(x: float, eps: float) -> Herm2:
     return Herm2(0.0, np.array([x / 2, 0.0, eps / 2]))
 
 
-def _in_pulse(kt: KickTrain, t: np.ndarray) -> np.ndarray:
-    """Whether each time lies in a pulse window [t_j, t_j + delta_t)."""
-    idx = np.clip(np.searchsorted(kt.kick_times, t, side="right") - 1, 0, kt.n_kicks - 1)
-    return (t >= kt.kick_times[idx]) & (t < kt.kick_times[idx] + kt.delta_t)
-
-
 def evolve_lz(cfg: LZConfig) -> Trajectory:
     """Propagate the sweep and return the recorded diagnostics.
 
@@ -103,12 +103,12 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     or of the theta_i-parameterized direction (geodesic strategies); fidelity
     is measured against the corresponding final ground state.
 
-    Kick trains whose pulse width is at most the requested step cfg.dt act
-    as single-sample kicks at every T (see KickTrain.single_sample), also
-    where T/dt rounds up and dt_eff falls below cfg.dt: the whole pi/2 area
-    is deposited in the step holding each kick time, with the angle taken at
-    the kick time.  Wider pulses are stepped with the midpoint-sampled
-    envelope.
+    Kicked steps come from KickTrain.layout: step idx carries amplitude
+    area/dt_eff at the angle of its scaled time lam.  Single-sample kicks
+    (pulse width at most the requested step cfg.dt, at every T) deposit
+    the whole pi/2 area in the step holding each kick, at the angle of
+    lambda_j = (2j-1)/(2n); wider pulses fill the steps whose midpoints
+    lie in the pulse.
     """
     n = cfg.n_steps
     dt = cfg.dt_eff
@@ -135,20 +135,10 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         dx, dz = np.sin(th) / 2, np.cos(th) / 2
         gap = np.ones(n + 1)
     else:
-        kt = cfg.kicks
-        th = sched.theta(tmid)
-        amp = np.zeros(n)
-        gap = np.zeros(n + 1)
-        if kt.single_sample(cfg.dt, dt):
-            # the first kick in each step holding one, at its own angle
-            steps, first = np.unique(kt.containing_steps(dt, n), return_index=True)
-            amp[steps] = np.pi / (2 * dt)
-            th[steps] = sched.theta(kt.kick_times[first])
-            gap[steps] = 2.0 * amp[steps]
-        else:
-            amp[_in_pulse(kt, tmid)] = kt.amplitude
-            gap[_in_pulse(kt, times)] = 2.0 * kt.amplitude
-        dx, dz = amp * np.sin(th), amp * np.cos(th)
+        idx, lam, area = cfg.kicks.layout(cfg.dt, n)
+        amp, th = area / dt, th_i + (th_f - th_i) * lam
+        dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+        dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp
 
     fid = np.empty(n + 1)
     ph_re = np.empty(n + 1)

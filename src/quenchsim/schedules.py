@@ -1,19 +1,21 @@
 """Control paths for the three driving strategies.
 
-A Schedule maps time t in [0, T] to one control parameter.  Linear paths
-interpolate the parameter itself; geodesic paths interpolate the mixing angle
-theta (constant Fubini-Study speed) and invert the tan-relation pointwise:
+A Schedule is the geodesic path of one control parameter over [0, T]: the
+mixing angle theta is affine in time (constant Fubini-Study speed) and the
+tan-relation is inverted pointwise,
 
     value(t) = offset + scale * tan(theta(t)),   theta affine in t.
 
+Linear ramps need no object: the engines interpolate the control directly.
 Geodesic angle endpoints are always computed with the two-argument arctangent
 so that paths whose diagonal Hamiltonian component changes sign do not pick up
 branch jumps; the interpolation then follows the short great-circle arc.
 
 A KickTrain holds the square-pulse envelope of the kicked-geodesic strategy:
 n equally spaced pulses of width delta_t and amplitude pi/(2*delta_t), i.e.
-unit pulse area pi/2, centered on the midpoints lambda_j = (2j-1)/(2n) of the
-scaled time axis.
+unit pulse area pi/2, starting at lambda_j = (2j-1)/(2n) of the scaled time
+axis.  KickTrain.layout is the one rule that places the pulses on a step
+grid; both engines take their kicked steps from it.
 """
 
 from __future__ import annotations
@@ -33,15 +35,9 @@ class Strategy(str, enum.Enum):
     GEO_JUMP = "geojump"
 
 
-class ScheduleKind(str, enum.Enum):
-    LINEAR = "linear"
-    GEODESIC = "geodesic"
-
-
 class Control(str, enum.Enum):
     """Which physical parameter the schedule drives."""
 
-    X_FIELD = "x"       # two-level sweep field
     ANISOTROPY = "gamma"
     FIELD = "h"         # transverse field
 
@@ -54,45 +50,28 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)  # elementwise math.atan2
 
 @dataclass(frozen=True)
 class Schedule:
-    """One control parameter as a function of time on [0, T].
+    """A geodesic control path on [0, T].
 
-    For kind=GEODESIC the pair (theta_i, theta_f) spans the affine mixing-angle
-    path and (scale, offset) invert it back to the control value.  theta_f is
-    stored as the continuous continuation of theta_i (short arc), so theta(t)
-    is monotone and tan(theta(t)) never crosses a pole for valid inputs.
+    (theta_i, theta_f) span the affine mixing-angle path and (scale, offset)
+    invert it back to the control value.  theta_f is stored as the continuous
+    continuation of theta_i (short arc), so theta(t) is monotone and
+    tan(theta(t)) never crosses a pole for valid inputs.
     """
 
-    kind: ScheduleKind
-    param: Control
-    p_i: float
-    p_f: float
     T: float
-    theta_i: float = 0.0
-    theta_f: float = 0.0
-    scale: float = 0.0
-    offset: float = 0.0
+    theta_i: float
+    theta_f: float
+    scale: float
+    offset: float
 
     def theta(self, t):
-        """Mixing angle at time t (geodesic schedules only)."""
-        if self.kind is not ScheduleKind.GEODESIC:
-            raise ValueError("theta(t) is only defined for geodesic schedules")
+        """Mixing angle at time t; accepts scalars or arrays."""
         frac = np.asarray(t, dtype=float) / self.T
         return self.theta_i + (self.theta_f - self.theta_i) * frac
 
     def value(self, t):
         """Control value at time t; accepts scalars or arrays."""
-        frac = np.asarray(t, dtype=float) / self.T
-        if self.kind is ScheduleKind.LINEAR:
-            return self.p_i + (self.p_f - self.p_i) * frac
-        th = self.theta_i + (self.theta_f - self.theta_i) * frac
-        return self.offset + self.scale * np.tan(th)
-
-
-def linear_schedule(param: Control, p_i: float, p_f: float, T: float) -> Schedule:
-    """Ramp p(t) = p_i + (p_f - p_i) t/T."""
-    if T <= 0:
-        raise ValueError(f"total time must be positive, got T={T}")
-    return Schedule(ScheduleKind.LINEAR, param, float(p_i), float(p_f), float(T))
+        return self.offset + self.scale * np.tan(self.theta(t))
 
 
 def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedule:
@@ -105,19 +84,7 @@ def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedu
         raise ValueError(f"total time must be positive, got T={T}")
     if eps == 0:
         raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
-    th_i = math.atan2(x_i, eps)
-    th_f = math.atan2(x_f, eps)
-    return Schedule(
-        ScheduleKind.GEODESIC,
-        Control.X_FIELD,
-        float(x_i),
-        float(x_f),
-        float(T),
-        theta_i=th_i,
-        theta_f=th_f,
-        scale=float(eps),
-        offset=0.0,
-    )
+    return Schedule(float(T), math.atan2(x_i, eps), math.atan2(x_f, eps), float(eps), 0.0)
 
 
 def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float):
@@ -174,10 +141,7 @@ def xy_geodesic_schedule(
     th_i, th_f = _xy_geodesic_angles([k], mode, p_i, p_f, fixed)
     s, c = math.sin(k), math.cos(k)
     scale, offset = ((fixed - c) / s, 0.0) if mode is Control.ANISOTROPY else (s, c)
-    return Schedule(
-        ScheduleKind.GEODESIC, mode, float(p_i), float(p_f), float(T),
-        theta_i=float(th_i[0]), theta_f=float(th_f[0]), scale=scale, offset=offset,
-    )
+    return Schedule(float(T), float(th_i[0]), float(th_f[0]), scale, offset)
 
 
 @dataclass(frozen=True)
@@ -205,10 +169,44 @@ class KickTrain:
         """
         return self.delta_t <= max(dt, dt_eff) * (1 + 1e-9)
 
-    def containing_steps(self, dt: float, n_steps: int) -> np.ndarray:
-        """Index of the step of width dt holding each kick time; times within
-        1e-9 steps of a grid node are snapped up to that node before flooring."""
-        return np.minimum(np.floor(self.kick_times / dt + 1e-9).astype(int), n_steps - 1)
+    def layout(self, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the pulses act on n_steps equal steps of dt_eff = T/n_steps,
+        for a run with requested step dt.
+
+        Returns (idx, lam, area) with one entry per step a pulse acts in, in
+        time order: the step index, the scaled time at which the drive is
+        sampled, and the pulse area deposited in that step.  Single-sample
+        kicks (see single_sample) give the step holding each kick time,
+        sampled at lambda_j = (2j-1)/(2n), which is built from the kick count
+        and so carries no trace of T, with area pi/2.  Wider pulses give the
+        steps whose midpoints lie in [t_j, t_j + delta_t), sampled at those
+        midpoints, each with area amplitude * dt_eff.  Two kicks in one step
+        raise ValueError.
+        """
+        dt_eff = self.T / n_steps
+        if self.single_sample(dt, dt_eff):
+            # kick times within 1e-9 steps of a grid node are snapped up to it
+            idx = np.minimum(np.floor(self.kick_times / dt_eff + 1e-9).astype(int), n_steps - 1)
+            lam = (2 * np.arange(1, self.n_kicks + 1) - 1) / (2 * self.n_kicks)
+            area = np.full(self.n_kicks, np.pi / 2)
+        else:
+            i0 = np.maximum(np.ceil(self.kick_times / dt_eff - 0.5).astype(int), 0)
+            i1 = np.ceil((self.kick_times + self.delta_t) / dt_eff - 0.5).astype(int)
+            idx = np.concatenate([np.arange(a, b) for a, b in zip(i0, np.minimum(i1, n_steps))])
+            lam = (idx + 0.5) * dt_eff / self.T
+            area = np.full(len(idx), self.amplitude * dt_eff)
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError(f"n_kicks={self.n_kicks} pulses of width delta_t={self.delta_t} "
+                             f"put two kicks in one step of dt={dt}")
+        return idx, lam, area
+
+
+def _check_finite(cfg, names) -> None:
+    """Reject a config whose named float fields are NaN or infinite."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:
@@ -217,10 +215,10 @@ def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:
     if n_kicks < 1 or int(n_kicks) != n_kicks:
         raise ValueError(f"n_kicks must be a positive integer, got {n_kicks}")
     n_kicks = int(n_kicks)
-    if T <= 0:
-        raise ValueError(f"total time must be positive, got T={T}")
-    if delta_t <= 0:
-        raise ValueError(f"pulse width must be positive, got delta_t={delta_t}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"total time must be positive and finite, got T={T}")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"pulse width must be positive and finite, got delta_t={delta_t}")
     lam = (2 * np.arange(1, n_kicks + 1) - 1) / (2 * n_kicks)
     times = lam * T
     slack = 1e-9 * T

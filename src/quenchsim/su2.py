@@ -170,11 +170,13 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
 _CHUNK = 4096
 
 
-def _quat_steps(a: np.ndarray, d: np.ndarray, dt: float) -> np.ndarray:
+def _quat_steps(a: np.ndarray, d: np.ndarray, dt) -> np.ndarray:
     """Step quaternions for exp(-i H dt), H = -2 (a Z + d X); shapes (..., 4).
 
-    A generator H = dx X + dz Z is the case a = -dz/2, d = -dx/2 (exact
-    power-of-two scaling).  Rows with a = d = 0 are exact identities.
+    dt is one step for all rows, or an array of per-row areas broadcasting
+    against a.  A generator H = dx X + dz Z is the case a = -dz/2,
+    d = -dx/2 (exact power-of-two scaling).  Rows with a = d = 0 are exact
+    identities.
     """
     r = np.sqrt(a * a + d * d)
     r *= 2.0
@@ -185,7 +187,7 @@ def _quat_steps(a: np.ndarray, d: np.ndarray, dt: float) -> np.ndarray:
         f = np.sin(ang) / r
     zero = r == 0.0
     if np.any(zero):
-        f[zero] = dt  # sin(r dt)/r -> dt as r -> 0
+        f[zero] = np.broadcast_to(dt, f.shape)[zero]  # sin(r dt)/r -> dt as r -> 0
     f *= 2.0
     q[..., 1] = f * d
     q[..., 2] = 0.0

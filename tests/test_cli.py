@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from quenchsim import cli
+from quenchsim import cli, freefermion
 
 
 def read_csv(path):
@@ -125,6 +125,25 @@ class TestChainCommand:
         assert list(rows[0].keys()) == ["k", "p_k", "err_k"]
         assert all(np.isfinite(float(r["err_k"])) for r in rows)
 
+    def test_modes_out_evolves_the_rate_once(self, tmp_path, monkeypatch):
+        """The defect row and the mode table come from one run; the defect
+        table is byte-identical with and without --modes-out."""
+        calls = []
+        evolve = freefermion.evolve_modes
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("track_err"))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(freefermion, "evolve_modes", counted)
+        args = ["chain", "--strategy", "geo", "--spins", "16", "--rates", "0.5", "--dt", "1e-3"]
+        assert cli.main(args + ["-o", str(tmp_path / "a.csv")]) == 0
+        assert calls == [False]
+        assert cli.main(args + ["-o", str(tmp_path / "b.csv"),
+                                "--modes-out", str(tmp_path / "m.csv")]) == 0
+        assert calls == [False, True]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_modes_out_needs_single_rate(self, tmp_path, capsys):
         code = cli.main(["chain", "--spins", "8", "--rates", "1.0", "2.0",
                          "--dt", "1e-3", "-o", str(tmp_path / "d.csv"),
@@ -212,6 +231,82 @@ class TestFitCommand:
         src = tmp_path / "defects.csv"
         src.write_text("rate,n_defect\n0.1,0.2\n0.2,0.3\n0.4,0.4\n")
         assert cli.main(["fit", "--input", str(src)]) == 2
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("reached after input validation should have failed")
+
+
+_BASE_ARGS = {"chain": ["--rates", "1", "--spins", "8"], "lz": ["--dt", "1e-2"],
+              "fit": ["--input", "missing.csv"]}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("args,field,value", [
+        (["chain", "--h", "nan", "0", "--rates", "1"], "h_i", "nan"),
+        (["chain", "--h", "inf", "0", "--rates", "1"], "h_i", "inf"),
+        (["chain", "--regime", "anisotropy", "--gamma", "nan", "1", "--rates", "1"],
+         "gamma_i", "nan"),
+        (["chain", "--rates", "nan"], "rates", "nan"),
+        (["lz", "--eps", "nan"], "eps", "nan"),
+        (["lz", "--x", "nan", "1"], "x_i", "nan"),
+        (["lz", "--T", "nan"], "T", "nan"),
+        (["sweep", "--strategy", "geojump", "--kicks", "2", "--pulse-width", "nan",
+          "--rates", "1"], "delta_t", "nan"),
+    ])
+    def test_non_finite_number_exits_2_before_evolving(self, args, field, value, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and value in err
+
+    @pytest.mark.parametrize("command,file_cfg,accepted", [
+        ("chain", {"gamma": 1.0}, None),
+        ("chain", {"rates": 5}, None),
+        ("chain", {"dt": "0.001"}, ["--dt", "0.001"]),
+        ("chain", {"h": [10, 0, 5]}, None),
+        ("lz", {"x": 5}, None),
+        ("lz", {"T": "1"}, ["--T", "1"]),
+        ("lz", {"kicks": 2.5, "strategy": "geojump"}, None),
+        ("fit", {"window": 5}, None),
+    ])
+    def test_config_file_values_convert_like_their_flags(self, command, file_cfg, accepted,
+                                                          tmp_path, capsys):
+        """A file value either runs exactly as its flag does, or exits 2
+        naming the file and the key."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(file_cfg))
+        base = [command, *_BASE_ARGS[command]]
+        code = cli.main(base + ["--config", str(path), "-o", str(tmp_path / "f.csv")])
+        if accepted is None:
+            assert code == 2
+            key = next(iter(file_cfg))
+            assert capsys.readouterr().err.startswith(f"error: {path}: {key}: ")
+            assert not (tmp_path / "f.csv").exists()
+            return
+        assert code == 0
+        assert cli.main(base + accepted + ["-o", str(tmp_path / "g.csv")]) == 0
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+        manifests = [(tmp_path / f"{n}.csv.manifest.txt").read_text().splitlines()
+                     for n in "fg"]
+        assert [line for line in manifests[0] if not line.startswith("out =")] \
+            == [line for line in manifests[1] if not line.startswith("out =")]
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    def test_two_kicks_in_one_step_exit_2_before_any_run(self, command, tmp_path,
+                                                          capsys, monkeypatch):
+        """200 kicks at rate 1 (T = 1) on dt = 0.01; rate 0.5 alone is fine."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "Pool", _fail)
+        rates = ["1"] if command == "chain" else ["0.5", "1"]
+        code = cli.main([command, "--strategy", "geojump", "--kicks", "200",
+                         "--pulse-width", "0.001", "--dt", "0.01", "--spins", "8",
+                         "--workers", "2", "--rates", *rates, "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "two kicks in one step" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestExitCodes:

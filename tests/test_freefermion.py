@@ -329,6 +329,29 @@ def kick_err_loop(cfg, ks):
     return np.array(out)
 
 
+def finite_pulse_err_loop(cfg, ks):
+    """|integral of e^{i phi} d lambda| for finite pulses, one grid step at a
+    time: a step whose midpoint lies in a pulse window [t_j, t_j + delta_t)
+    carries the pulse amplitude at the midpoint angle, any other is frozen."""
+    kt = cfg.kicks
+    dt, T, n = cfg.dt_eff, cfg.T, cfg.n_steps
+    s = np.sin(ks)
+    th_i = np.arctan2(cfg.h_i - np.cos(ks), s)
+    th_f = np.arctan2(cfg.h_f - np.cos(ks), s)
+    phase = np.zeros(len(ks))
+    integral = np.zeros(len(ks), dtype=complex)
+    for i in range(n):
+        mid = (i + 0.5) * dt
+        if not any(t <= mid < t + kt.delta_t for t in kt.kick_times):
+            integral += np.exp(1j * phase) * dt / T
+            continue
+        th = th_i + (th_f - th_i) * mid / T
+        dphi = -4.0 * kt.amplitude * np.hypot(s * np.tan(th), cfg.gamma_i * s) * dt
+        integral += np.exp(1j * phase) * (np.exp(1j * dphi) - 1) / (1j * dphi) * dt / T
+        phase += dphi
+    return np.abs(integral)
+
+
 class TestAdiabaticityError:
     def test_linear_err_matches_fine_grid_quadrature(self):
         """LIN err_k against adiabatic_error on a 2e5-point grid, with
@@ -348,6 +371,17 @@ class TestAdiabaticityError:
         ks = momentum_grid(32)
         _, err = run_chain(cfg, track_err=True)
         assert np.abs(err - kick_err_loop(cfg, ks)).max() < 1e-12
+
+
+    @pytest.mark.parametrize("T", [1.0, 1.0006])
+    def test_finite_pulse_err_matches_step_loop(self, T):
+        """Width 2.3 dt: pulse edges off the grid, frozen stretches between."""
+        cfg = ising_cfg(T, 1e-3, Strategy.GEO_JUMP, nkicks=4, width=2.3e-3, n_spins=32,
+                        h_i=1.0, h_f=1.1)
+        assert not cfg.kicks.single_sample(cfg.dt, cfg.dt_eff)
+        ks = momentum_grid(32)
+        _, err = run_chain(cfg, track_err=True)
+        assert np.abs(err - finite_pulse_err_loop(cfg, ks)).max() < 1e-12
 
 
 class TestIndependentPaths:

@@ -99,6 +99,16 @@ class TestEvolve:
         assert nonzero.sum() == 5
         assert np.all(traj.gap[~nonzero] == 0.0)
 
+    @pytest.mark.parametrize("width", [1.5, 2.3, 10.0])
+    def test_finite_pulse_gap_is_nonzero_exactly_at_the_layout_steps(self, width):
+        """Node i carries the gap 2 * amplitude of step i: nonzero at every
+        step KickTrain.layout fills and nowhere else."""
+        cfg = cfg_for(Strategy.GEO_JUMP, 1.0006, 1e-3, nkicks=4, width=width * 1e-3)
+        idx, _, _ = cfg.kicks.layout(cfg.dt, cfg.n_steps)
+        traj = evolve_lz(cfg)
+        assert np.flatnonzero(traj.gap).tolist() == idx.tolist()
+        assert np.allclose(traj.gap[idx], 2 * cfg.kicks.amplitude, rtol=1e-14, atol=0)
+
     def test_adiabatic_limit_lin_geo_agree(self):
         """Both continuous strategies exceed 0.999 fidelity at T = 1e4."""
         for strategy in (Strategy.LIN, Strategy.GEO):

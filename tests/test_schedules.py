@@ -5,39 +5,41 @@ import math
 import numpy as np
 import pytest
 
+from quenchsim.freefermion import ChainConfig, Regime
+from quenchsim.landau_zener import LZConfig
 from quenchsim.schedules import (
     Control,
-    ScheduleKind,
+    Strategy,
     fs_metric_gamma,
     kick_train,
-    linear_schedule,
     lz_geodesic_schedule,
     xy_geodesic_schedule,
 )
 
 
+def ising(h_i, h_f, T, dt=1e-3, **kw):
+    return ChainConfig(4, Regime.ISING, 1.0, 1.0, h_i, h_f, T, dt, **kw)
+
+
 class TestLinearSchedule:
+    """The linear ramp is ChainConfig.params_at, at scaled time t/T."""
+
     def test_midpoint(self):
-        s = linear_schedule(Control.FIELD, 10.0, 0.0, 1.0)
-        assert s.value(0.5) == pytest.approx(5.0)
+        assert ising(10.0, 0.0, 1.0).params_at(0.5)[1] == pytest.approx(5.0)
 
     def test_endpoint(self):
-        s = linear_schedule(Control.X_FIELD, -10.0, 10.0, 3.0)
-        assert s.value(3.0) == pytest.approx(10.0)
-        assert s.value(0.0) == pytest.approx(-10.0)
+        cfg = ising(-10.0, 10.0, 3.0)
+        assert cfg.params_at(3.0 / 3.0)[1] == pytest.approx(10.0)
+        assert cfg.params_at(0.0)[1] == pytest.approx(-10.0)
 
     def test_affine(self):
-        s = linear_schedule(Control.ANISOTROPY, -1.0, 2.0, 2.0)
-        assert s.value(0.3 * 2.0) + s.value(0.7 * 2.0) == pytest.approx(-1.0 + 2.0)
+        cfg = ChainConfig(4, Regime.ANISOTROPY, -1.0, 2.0, 0.5, 0.5, 2.0, 1e-3)
+        gamma = lambda t: cfg.params_at(t / 2.0)[0]
+        assert gamma(0.3 * 2.0) + gamma(0.7 * 2.0) == pytest.approx(-1.0 + 2.0)
 
     def test_rejects_nonpositive_T(self):
         with pytest.raises(ValueError):
-            linear_schedule(Control.FIELD, 0.0, 1.0, 0.0)
-
-    def test_theta_undefined(self):
-        s = linear_schedule(Control.FIELD, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            s.theta(0.5)
+            ising(0.0, 1.0, 0.0)
 
 
 class TestLZGeodesicSchedule:
@@ -113,11 +115,6 @@ class TestXYGeodesicSchedule:
         with pytest.raises(ValueError):
             xy_geodesic_schedule(np.pi / 3, Control.ANISOTROPY, -1.0, 1.0, 0.5, 1.0)
 
-    def test_kind_and_param(self):
-        s = xy_geodesic_schedule(1.0, Control.FIELD, 10.0, 0.0, 1.0, 1.0)
-        assert s.kind is ScheduleKind.GEODESIC
-        assert s.param is Control.FIELD
-
 
 class TestGeodesicConstancy:
     def test_metric_speed_constant_along_path(self):
@@ -132,6 +129,53 @@ class TestGeodesicConstancy:
             speeds.append(fs_metric_gamma(k, float(s.value(t)), h) * dgdt**2)
         speeds = np.array(speeds)
         assert np.ptp(speeds) / speeds.mean() < 1e-6
+
+
+class TestLayout:
+    def test_single_sample_kicks_carry_no_trace_of_T(self):
+        """One entry per kick, sampled at (2j-1)/(2n), with area pi/2: the
+        same bits at T = 1, at T = 0.50006, where T/dt rounds up, and at
+        T = 0.7 and 10^-0.5, where kick_times / T misses (2j-1)/(2n) in the
+        last place."""
+        dt, n = 1e-3, 7
+        lams = []
+        for T in (1.0, 0.50006, 0.7, 10**-0.5):
+            kt = kick_train(n, T, dt)
+            n_steps = round(T / dt)
+            idx, lam, area = kt.layout(dt, n_steps)
+            dt_eff = T / n_steps
+            assert len(idx) == n and np.all(area == np.pi / 2)
+            assert np.all(idx * dt_eff <= kt.kick_times + 1e-9 * dt_eff)
+            assert np.all(kt.kick_times < (idx + 1) * dt_eff)
+            lams.append(lam)
+        want = ((2 * np.arange(1, n + 1) - 1) / (2 * n)).tobytes()
+        assert all(lam.tobytes() == want for lam in lams)
+
+    @pytest.mark.parametrize("T", [1.0, 1.0006])
+    def test_finite_pulses_take_the_steps_whose_midpoints_they_hold(self, T):
+        """Width 2.3 dt: the pulses end off the grid (and start off it at
+        T = 1.0006), with no midpoint on an edge."""
+        dt, width = 1e-3, 2.3e-3
+        kt = kick_train(4, T, width)
+        n_steps = round(T / dt)
+        dt_eff = T / n_steps
+        idx, lam, area = kt.layout(dt, n_steps)
+        mids = (np.arange(n_steps) + 0.5) * dt_eff
+        want = [i for i, m in enumerate(mids)
+                if any(t <= m < t + width for t in kt.kick_times)]
+        assert idx.tolist() == want
+        assert np.array_equal(lam, mids[idx] / T)
+        assert np.all(area == kt.amplitude * dt_eff)
+
+    def test_two_kicks_in_one_step_are_rejected(self):
+        """200 kicks over T = 1 are 5e-3 apart: two fall in each 1e-2 step."""
+        kt = kick_train(200, 1.0, 0.001)
+        with pytest.raises(ValueError, match=r"n_kicks=200.*delta_t=0\.001.*dt=0\.01"):
+            kt.layout(0.01, 100)
+        with pytest.raises(ValueError, match="two kicks in one step"):
+            ising(10.0, 0.0, 1.0, dt=0.01, strategy=Strategy.GEO_JUMP, kicks=kt)
+        with pytest.raises(ValueError, match="two kicks in one step"):
+            LZConfig(0.1, -10.0, 10.0, 1.0, 0.01, Strategy.GEO_JUMP, kt)
 
 
 class TestKickTrain:
