@@ -8,6 +8,9 @@ Subcommands:
            rates for one regime; writes one combined defect table.
     fit    log-log power-law fit of a defect table over a rate window.
 
+chain and sweep share one runner: a table is a list of (rate, ChainConfig)
+cells, all built (and so checked) before the first one runs.
+
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
 are reduced in submission order, and floats are written with shortest
 round-trip repr, so identical configs produce byte-identical files for any
@@ -179,30 +182,14 @@ _LZ_DEFAULTS = {
 }
 
 
-def _kicks_for(strategy: Strategy, kicks: int, T: float, pulse_width: float, dt: float):
-    """The pulse train of a geojump run (width 0 means dt), else None."""
-    if strategy is not Strategy.GEO_JUMP:
-        if kicks:
-            raise ValueError(f"--kicks conflicts with strategy {strategy.value}")
-        return None
-    if kicks < 1:
-        raise ValueError("geojump strategy requires --kicks >= 1")
-    return kick_train(int(kicks), T, pulse_width or dt)
-
-
-def _build_lz_config(cfg: dict) -> LZConfig:
-    strategy = Strategy(cfg["strategy"])
-    x_i, x_f = cfg["x"]
-    return LZConfig(
-        eps=cfg["eps"], x_i=x_i, x_f=x_f, T=cfg["T"], dt=cfg["dt"], strategy=strategy,
-        kicks=_kicks_for(strategy, cfg["kicks"], cfg["T"], cfg["pulse_width"], cfg["dt"]),
-    )
-
-
 def _run_lz(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _LZ_DEFAULTS)
-    lz = _build_lz_config(cfg)
-    traj = evolve_lz(lz)
+    T, dt, kicks = cfg["T"], cfg["dt"], cfg["kicks"]
+    traj = evolve_lz(LZConfig(
+        eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=T, dt=dt,
+        strategy=Strategy(cfg["strategy"]),
+        kicks=kick_train(kicks, T, cfg["pulse_width"] or dt) if kicks else None,
+    ))
     rows = zip(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
                traj.phase_diff_im, traj.err)
     _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"], rows)
@@ -232,52 +219,45 @@ _CHAIN_DEFAULTS = {
     "modes_out": "",
 }
 
-_SWEEP_DEFAULTS = dict(_CHAIN_DEFAULTS)
-_SWEEP_DEFAULTS.update({
-    "strategy": ["lin"],
-    "kicks": [0],
-    "pulse_width": [0.0],
-    "out": "sweep.csv",
-})
-del _SWEEP_DEFAULTS["modes_out"]
+_SWEEP_DEFAULTS = {k: v for k, v in _CHAIN_DEFAULTS.items() if k != "modes_out"}
+_SWEEP_DEFAULTS.update(strategy=["lin"], kicks=[0], pulse_width=[0.0], out="sweep.csv")
+
+# (gamma, h) of each regime when not given
+_REGIME_DEFAULTS = {Regime.ISING: ([1.0, 1.0], [10.0, 0.0]),
+                    Regime.GAPLESS: ([-1.0, 1.0], [1.0, 1.0]),
+                    Regime.ANISOTROPY: ([-1.0, 1.0], [0.5, 0.5])}
 
 
-def _regime_defaults(regime: Regime) -> tuple[list[float], list[float]]:
-    if regime is Regime.ISING:
-        return [1.0, 1.0], [10.0, 0.0]
-    if regime is Regime.GAPLESS:
-        return [-1.0, 1.0], [1.0, 1.0]
-    return [-1.0, 1.0], [0.5, 0.5]
-
-
-def _build_chain_config(cfg: dict, strategy: Strategy, rate: float,
-                        kicks: int, pulse_width: float) -> ChainConfig:
+def _chain_cells(cfg: dict, combos: list[tuple], rates: list[float]) -> list[tuple]:
+    """The (rate, ChainConfig) cells of a table: every rate of each
+    (strategy, kicks, width) combination in turn.  A width of 0 means dt.
+    Building a config checks it, so a bad cell fails before any runs."""
     regime = Regime(cfg["regime"])
-    gamma_def, h_def = _regime_defaults(regime)
-    gamma = cfg["gamma"] if cfg["gamma"] is not None else gamma_def
-    h = cfg["h"] if cfg["h"] is not None else h_def
-    T = 1.0 / rate
-    return ChainConfig(
-        n_spins=int(cfg["spins"]), regime=regime,
-        gamma_i=gamma[0], gamma_f=gamma[1], h_i=h[0], h_f=h[1],
-        T=T, dt=cfg["dt"], strategy=strategy,
-        kicks=_kicks_for(strategy, kicks, T, pulse_width, cfg["dt"]),
-        collective_geodesic=not cfg["per_mode_geodesic"],
-    )
+    gamma = cfg["gamma"] or _REGIME_DEFAULTS[regime][0]
+    h = cfg["h"] or _REGIME_DEFAULTS[regime][1]
+    cells = []
+    for strategy, kicks, width in combos:
+        for rate in rates:
+            T = 1.0 / rate
+            cells.append((rate, ChainConfig(
+                n_spins=int(cfg["spins"]), regime=regime,
+                gamma_i=gamma[0], gamma_f=gamma[1], h_i=h[0], h_f=h[1],
+                T=T, dt=cfg["dt"], strategy=Strategy(strategy),
+                kicks=kick_train(kicks, T, width or cfg["dt"]) if kicks else None,
+                collective_geodesic=not cfg["per_mode_geodesic"],
+            )))
+    return cells
 
 
-def _defect_task(payload: dict, track_err: bool = False) -> tuple:
-    """Worker entry: run one (strategy, rate, kicks, width) cell; returns
+def _defect_task(cell: tuple, track_err: bool = False) -> tuple:
+    """Worker entry: run one (rate, ChainConfig) cell; returns
     (defect row, DefectResult, per-mode error or None)."""
-    chain = _build_chain_config(
-        payload["cfg"], Strategy(payload["strategy"]), payload["rate"],
-        payload["kicks"], payload["pulse_width"],
-    )
+    rate, chain = cell
     result, err = run_chain(chain, track_err=track_err)
-    width = chain.kicks.delta_t if chain.kicks is not None else 0.0
+    kicks = chain.kicks
     row = (
-        payload["rate"], payload["strategy"], payload["cfg"]["regime"],
-        payload["kicks"], width, result.n_defect,
+        rate, chain.strategy.value, chain.regime.value,
+        kicks.n_kicks if kicks else 0, kicks.delta_t if kicks else 0.0, result.n_defect,
     )
     return row, result, err
 
@@ -285,11 +265,7 @@ def _defect_task(payload: dict, track_err: bool = False) -> tuple:
 _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect"]
 
 
-def _run_cells(cfg: dict, cells: list[dict]) -> list[tuple]:
-    # validate every cell up front so a bad config never launches the pool
-    for cell in cells:
-        _build_chain_config(cfg, Strategy(cell["strategy"]), cell["rate"],
-                            cell["kicks"], cell["pulse_width"])
+def _run_cells(cfg: dict, cells: list[tuple]) -> list[tuple]:
     workers = _resolve_workers(cfg["workers"])
     if workers == 1 or len(cells) == 1:
         results = [_defect_task(c) for c in cells]
@@ -299,19 +275,27 @@ def _run_cells(cfg: dict, cells: list[dict]) -> list[tuple]:
     return [row for row, _, _ in results]
 
 
-def _run_chain_cmd(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _CHAIN_DEFAULTS)
+def _run_table(ns: argparse.Namespace) -> int:
+    """chain and sweep: one defect table over (strategy, kicks, width)
+    combinations x rates.  chain runs one combination, and with --modes-out
+    also writes the mode table of its single rate; sweep runs the product of
+    its lists, with kicks and widths for geojump only."""
+    sweep = ns.command == "sweep"
+    cfg = _resolve(ns, _SWEEP_DEFAULTS if sweep else _CHAIN_DEFAULTS)
     if cfg["rates"] is None:
-        raise ValueError("chain requires --rates (list or: log MIN MAX COUNT)")
+        raise ValueError(f"{ns.command} requires --rates (list or: log MIN MAX COUNT)")
     rates = _parse_rates(cfg["rates"])
-    if cfg["modes_out"] and len(rates) != 1:
+    modes_out = cfg.get("modes_out")
+    if modes_out and len(rates) != 1:
         raise ValueError("--modes-out requires exactly one rate")
-    cells = [
-        {"cfg": cfg, "strategy": cfg["strategy"], "rate": r,
-         "kicks": int(cfg["kicks"]), "pulse_width": cfg["pulse_width"]}
-        for r in rates
-    ]
-    if cfg["modes_out"]:
+    if sweep:
+        combos = [(s, nk, w) for s in cfg["strategy"]
+                  for nk in (cfg["kicks"] if s == Strategy.GEO_JUMP else [0])
+                  for w in (cfg["pulse_width"] if s == Strategy.GEO_JUMP else [0.0])]
+    else:
+        combos = [(cfg["strategy"], cfg["kicks"], cfg["pulse_width"])]
+    cells = _chain_cells(cfg, combos, rates)
+    if modes_out:
         # one run gives the defect row and the mode table: p_k does not
         # depend on track_err
         row, result, err = _defect_task(cells[0], track_err=True)
@@ -323,34 +307,12 @@ def _run_chain_cmd(ns: argparse.Namespace) -> int:
     resolved["rates"] = [float(r) for r in rates]
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
-    if cfg["modes_out"]:
+    if modes_out:
         mode_rows = [(k, p, e) for (k, p), e in zip(result.pk.items(), err)]
-        _atomic_write(cfg["modes_out"], ["k", "p_k", "err_k"], mode_rows)
-        _write_manifest(cfg["modes_out"], resolved)
-        written.append(cfg["modes_out"])
-    print(f"wrote {', '.join(written)} ({len(rows)} rate(s))")
-    return 0
-
-
-def _run_sweep(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _SWEEP_DEFAULTS)
-    if cfg["rates"] is None:
-        raise ValueError("sweep requires --rates (list or: log MIN MAX COUNT)")
-    rates = _parse_rates(cfg["rates"])
-    cells = []
-    for strat in cfg["strategy"]:
-        is_jump = Strategy(strat) is Strategy.GEO_JUMP
-        for nk in (cfg["kicks"] if is_jump else [0]):
-            for width in (cfg["pulse_width"] if is_jump else [0.0]):
-                for r in rates:
-                    cells.append({"cfg": cfg, "strategy": strat, "rate": r,
-                                  "kicks": int(nk), "pulse_width": width})
-    rows = _run_cells(cfg, cells)
-    _atomic_write(cfg["out"], _SWEEP_HEADER, rows)
-    resolved = dict(cfg)
-    resolved["rates"] = [float(r) for r in rates]
-    _write_manifest(cfg["out"], resolved)
-    print(f"wrote {cfg['out']} ({len(rows)} rows)")
+        _atomic_write(modes_out, ["k", "p_k", "err_k"], mode_rows)
+        _write_manifest(modes_out, resolved)
+        written.append(modes_out)
+    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
     return 0
 
 
@@ -451,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modes-out", dest="modes_out",
                            help="per-mode CSV (k, p_k, err_k); single rate only")
         _add_common(p)
-        p.set_defaults(func=_run_chain_cmd if not multi else _run_sweep, parser=p)
+        p.set_defaults(func=_run_table, parser=p)
 
     p = sub.add_parser("fit", help="log-log power-law fit of a defect table")
     p.add_argument("--input", help="defect CSV with columns rate, n_defect")

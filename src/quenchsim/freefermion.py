@@ -42,7 +42,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .schedules import Control, KickTrain, Strategy, _check_finite, _xy_geodesic_angles
+from .schedules import Control, KickTrain, Run, Strategy, _xy_geodesic_angles
 from .su2 import _CHUNK, Herm2, _err_terms, _ordered_product, _quat_identity, _quat_mul
 from .su2 import _quat_steps, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
@@ -124,14 +124,16 @@ def defect_density(pk) -> float:
 
 
 @dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Run):
     """One chain quench: regime fixes which parameter varies.
 
     Gamma regimes (anisotropy, gapless) sweep gamma_i -> gamma_f at fixed
     h = h_i = h_f; the Ising regime sweeps h_i -> h_f at gamma = 1.  For the
     geodesic strategy, collective_geodesic selects one shared control ramp
     with constant speed under the summed mode metric (default) instead of an
-    independent constant-speed schedule per mode.
+    independent constant-speed schedule per mode.  The step grid and the
+    checks on T, dt and kicks come from schedules.Run; a run on per-mode
+    geodesics is checked on every mode, so h = cos k fails before evolving.
     """
 
     n_spins: int
@@ -147,17 +149,9 @@ class ChainConfig:
     collective_geodesic: bool = True
 
     def __post_init__(self):
-        _check_finite(self, ("gamma_i", "gamma_f", "h_i", "h_f", "T", "dt"))
+        super().__post_init__()
         if self.n_spins < 2 or self.n_spins % 2 != 0:
             raise ValueError(f"n_spins must be even and >= 2, got {self.n_spins}")
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
-        if (self.kicks is not None) != (self.strategy is Strategy.GEO_JUMP):
-            raise ValueError("kicks must be given exactly when strategy is geojump")
-        if self.kicks is not None and abs(self.kicks.T - self.T) > 1e-9 * self.T:
-            raise ValueError(f"kick train spans T={self.kicks.T}, run spans T={self.T}")
-        if self.kicks is not None:
-            self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
         if self.regime is Regime.ISING:
             if self.gamma_i != 1.0 or self.gamma_f != 1.0:
                 raise ValueError(
@@ -173,18 +167,18 @@ class ChainConfig:
                 raise ValueError(f"gapless regime requires h = 1, got h={self.h_i}")
             if self.regime is Regime.ANISOTROPY and abs(self.h_i) >= 1.0:
                 raise ValueError(f"anisotropy regime requires |h| < 1, got h={self.h_i}")
+        if self.on_mode_geodesics:
+            _mode_geodesic_angles(self, momentum_grid(self.n_spins))
 
     @property
     def varies_h(self) -> bool:
         return self.regime is Regime.ISING
 
     @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
-
-    @property
-    def dt_eff(self) -> float:
-        return self.T / self.n_steps
+    def on_mode_geodesics(self) -> bool:
+        """Per-mode GEO, or GEO_JUMP: the kicks sample each mode's geodesic."""
+        return self.strategy is Strategy.GEO_JUMP or (
+            self.strategy is Strategy.GEO and not self.collective_geodesic)
 
     def params_at(self, frac):
         """(gamma, h) under the *linear* ramp at scaled time frac in [0, 1]."""
@@ -269,9 +263,7 @@ def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
     geodesics (per-mode GEO, and the kick angles of GEO_JUMP), on which the
     mixing angle of each mode is affine in the scaled time frac."""
     s, c = np.sin(ks), np.cos(ks)
-    if cfg.strategy is Strategy.GEO_JUMP or (
-        cfg.strategy is Strategy.GEO and not cfg.collective_geodesic
-    ):
+    if cfg.on_mode_geodesics:
         th_i, th_f = _mode_geodesic_angles(cfg, ks)
 
         def geodesic(frac):

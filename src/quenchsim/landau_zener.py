@@ -29,15 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import KickTrain, Strategy, _check_finite, lz_geodesic_schedule
+from .schedules import KickTrain, Run, Strategy, lz_geodesic_schedule
 from .su2 import _CHUNK, Herm2, _err_terms, _prefix_product, _quat_identity, _quat_steps
 from .su2 import _quat_to_unitary, eig2
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
 
 @dataclass(frozen=True)
-class LZConfig:
-    """One two-level sweep: field from x_i to x_f over total time T."""
+class LZConfig(Run):
+    """One two-level sweep: field from x_i to x_f over total time T.  The
+    step grid and the checks on T, dt and kicks come from schedules.Run."""
 
     eps: float
     x_i: float
@@ -48,34 +49,13 @@ class LZConfig:
     kicks: KickTrain | None = None
 
     def __post_init__(self):
-        _check_finite(self, ("eps", "x_i", "x_f", "T", "dt"))
-        if self.T <= 0:
-            raise ValueError(f"total time must be positive, got T={self.T}")
-        if self.dt <= 0:
-            raise ValueError(f"step must be positive, got dt={self.dt}")
+        super().__post_init__()
         if self.n_steps < 100:
             raise ValueError(
                 f"dt={self.dt} gives only {self.n_steps} steps; need at least 100"
             )
-        if (self.kicks is not None) != (self.strategy is Strategy.GEO_JUMP):
-            raise ValueError("kicks must be given exactly when strategy is geojump")
-        if self.kicks is not None and abs(self.kicks.T - self.T) > 1e-9 * self.T:
-            raise ValueError(
-                f"kick train spans T={self.kicks.T}, run spans T={self.T}"
-            )
-        if self.kicks is not None:
-            self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
         if self.strategy is not Strategy.LIN and self.eps == 0:
             raise ValueError("geodesic strategies require eps != 0")
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
-
-    @property
-    def dt_eff(self) -> float:
-        """Actual step: [0, T] divided into n_steps equal pieces."""
-        return self.T / self.n_steps
 
 
 @dataclass

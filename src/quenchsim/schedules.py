@@ -16,13 +16,17 @@ n equally spaced pulses of width delta_t and amplitude pi/(2*delta_t), i.e.
 unit pulse area pi/2, starting at lambda_j = (2j-1)/(2n) of the scaled time
 axis.  KickTrain.layout is the one rule that places the pulses on a step
 grid; both engines take their kicked steps from it.
+
+Run is the field-less base of both engines' configs: their step grid and
+the checks on T, dt, strategy and kicks that every run shares.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -201,12 +205,36 @@ class KickTrain:
         return idx, lam, area
 
 
-def _check_finite(cfg, names) -> None:
-    """Reject a config whose named float fields are NaN or infinite."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+class Run:
+    """Field-less base of ChainConfig and LZConfig: the step grid and the
+    checks every run shares.  A subclass holds the fields T, dt, strategy
+    and kicks and calls super().__post_init__() before its own checks."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.T <= 0 or self.dt <= 0:
+            raise ValueError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
+        if self.kicks is None:
+            if self.strategy is Strategy.GEO_JUMP:
+                raise ValueError("geojump strategy requires kicks >= 1")
+            return
+        if self.strategy is not Strategy.GEO_JUMP:
+            raise ValueError(f"kicks conflict with strategy {self.strategy.value}")
+        if abs(self.kicks.T - self.T) > 1e-9 * self.T:
+            raise ValueError(f"kick train spans T={self.kicks.T}, run spans T={self.T}")
+        self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
+
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.T / self.dt)))
+
+    @property
+    def dt_eff(self) -> float:
+        """Actual step: [0, T] divided into n_steps equal pieces."""
+        return self.T / self.n_steps
 
 
 def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:

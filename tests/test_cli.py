@@ -205,6 +205,27 @@ class TestSweepCommand:
         assert max(ns) == min(ns)
 
 
+    @pytest.mark.parametrize("combo,columns", [
+        (["--strategy", "lin"], ("lin", "0", "0.0")),
+        (["--strategy", "geojump", "--kicks", "3", "--pulse-width", "0"],
+         ("geojump", "3", "0.001")),
+        (["--strategy", "geojump", "--kicks", "3", "--pulse-width", "0.0015"],
+         ("geojump", "3", "0.0015")),
+        (["--strategy", "geo", "--per-mode-geodesic", "--workers", "2"], ("geo", "0", "0.0")),
+    ], ids=["lin", "geojump-width-0", "geojump-width-1.5dt", "per-mode-geo-2-workers"])
+    def test_one_combination_matches_chain(self, combo, columns, tmp_path):
+        """chain and sweep run their tables through one path: a sweep of one
+        (strategy, kicks, width) combination writes chain's table, whose
+        rows name the run each cell's config describes."""
+        args = ["--spins", "8", "--dt", "1e-3", "--rates", "0.5", "1.3", *combo]
+        for command in ("chain", "sweep"):
+            assert cli.main([command, *args, "-o", str(tmp_path / f"{command}.csv")]) == 0
+        assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "sweep.csv").read_bytes()
+        rows = read_csv(tmp_path / "chain.csv")
+        assert [r["rate"] for r in rows] == ["0.5", "1.3"]
+        assert {(r["strategy"], r["kicks"], r["pulse_width"]) for r in rows} == {columns}
+
+
 class TestFitCommand:
     def test_fit_recovers_exponent(self, tmp_path):
         src = tmp_path / "defects.csv"
@@ -306,6 +327,21 @@ class TestInputChecks:
                          "--workers", "2", "--rates", *rates, "-o", str(tmp_path / "x.csv")])
         assert code == 2
         assert "two kicks in one step" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["chain", "sweep"])
+    def test_mode_on_h_equal_cos_k_exits_2_before_any_run(self, command, tmp_path,
+                                                           capsys, monkeypatch):
+        """Per-mode geodesic at anisotropy h = 0, N = 10: k = pi/2 lies on
+        h = cos k, which building the cell's config rejects."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "Pool", _fail)
+        strategies = ["geo"] if command == "chain" else ["lin", "geo"]
+        code = cli.main([command, "--regime", "anisotropy", "--h", "0", "0",
+                         "--strategy", *strategies, "--per-mode-geodesic", "--spins", "10",
+                         "--workers", "2", "--rates", "0.5", "1", "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "h = cos(k)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 

@@ -407,7 +407,7 @@ class TestIndependentPaths:
         the per-mode geodesic angle is undefined."""
         assert np.pi / 2 in momentum_grid(10)
         kicks = kick_train(3, 1.0, 1e-3) if strategy is Strategy.GEO_JUMP else None
-        cfg = ChainConfig(10, Regime.ANISOTROPY, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-3,
-                          strategy=strategy, kicks=kicks, collective_geodesic=False)
         with pytest.raises(ValueError, match="h = cos"):
+            cfg = ChainConfig(10, Regime.ANISOTROPY, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-3,
+                              strategy=strategy, kicks=kicks, collective_geodesic=False)
             run_chain(cfg)

@@ -178,6 +178,39 @@ class TestLayout:
             LZConfig(0.1, -10.0, 10.0, 1.0, 0.01, Strategy.GEO_JUMP, kt)
 
 
+_RUN_BASE = {
+    ChainConfig: dict(n_spins=8, regime=Regime.ISING, gamma_i=1.0, gamma_f=1.0,
+                      h_i=10.0, h_f=0.0),
+    LZConfig: dict(eps=0.1, x_i=-10.0, x_f=10.0),
+}
+_JUMP = Strategy.GEO_JUMP
+
+
+class TestRunBase:
+    """Both configs check the step grid, the strategy and the kicks in one
+    place, schedules.Run, and so reject a bad run with the same message."""
+
+    @pytest.mark.parametrize("config", [ChainConfig, LZConfig], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("run,message", [
+        (dict(T=math.nan), "T must be finite, got nan"),
+        (dict(T=0.0), "need T > 0 and dt > 0, got T=0.0, dt=0.001"),
+        (dict(T=-1.0), "need T > 0 and dt > 0, got T=-1.0, dt=0.001"),
+        (dict(dt=0.0), "need T > 0 and dt > 0, got T=1.0, dt=0.0"),
+        (dict(dt=-1e-3), "need T > 0 and dt > 0, got T=1.0, dt=-0.001"),
+        (dict(kicks=kick_train(3, 1.0, 1e-3)), "kicks conflict with strategy lin"),
+        (dict(strategy=_JUMP), "geojump strategy requires kicks >= 1"),
+        (dict(strategy=_JUMP, kicks=kick_train(3, 2.0, 1e-3)),
+         "kick train spans T=2.0, run spans T=1.0"),
+        (dict(strategy=_JUMP, kicks=kick_train(200, 1.0, 0.001), dt=0.01),
+         "n_kicks=200 pulses of width delta_t=0.001 put two kicks in one step of dt=0.01"),
+    ], ids=["nan-T", "zero-T", "negative-T", "zero-dt", "negative-dt", "kicks-on-lin",
+            "geojump-without-kicks", "train-of-another-T", "two-kicks-in-one-step"])
+    def test_bad_run_is_rejected_alike(self, config, run, message):
+        with pytest.raises(ValueError) as exc:
+            config(**_RUN_BASE[config], **{"T": 1.0, "dt": 1e-3, **run})
+        assert str(exc.value) == message
+
+
 class TestKickTrain:
     def test_single_kick_at_midpoint(self):
         kt = kick_train(1, 1.0, 1e-3)
