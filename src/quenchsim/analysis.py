@@ -8,7 +8,6 @@ n ~ tau_Q^(-alpha) that slope is +alpha, the positive decay exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,33 +62,6 @@ def fit_power_law(points, window: tuple[float, float]) -> ScalingFit:
     ss_tot = np.sum((ly - ybar) ** 2)
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2) / ss_tot)
     return ScalingFit(float(slope), float(intercept), r2, (lo, hi))
-
-
-def plateau_asymptotic(gamma: float, h_i: float, h_f: float) -> float:
-    """Commutator estimate (pi^4/32) gamma^2 (h_f-h_i)^2 of a kicked defect
-    density.
-
-    This is not a limit of the kick product that freefermion simulates: it
-    depends on neither the kick count nor h_i, while the kick product does.
-    At h 10 -> 10.1 with 200 kicks (N=250, gamma=1, T=1) it gives 0.0304,
-    but the exact product gives n = 2.386e-10, stepwise integration of
-    width-1e-5 pulses (dt=1e-6) gives 2.384e-10 and kick_pk_leading_order
-    gives 2.386e-10; at h 1.0 -> 1.1 it gives 0.0304 against n = 1.08e-5.  For the leading-order density of the simulated model use
-    kick_pk_leading_order.
-    """
-    return (math.pi**4 / 32.0) * gamma**2 * (h_f - h_i) ** 2
-
-
-def phi_y_amplitude(k: float, gamma: float, h_i: float, h_f: float) -> float:
-    """Commutator estimate (pi^2/2) sin^2(k) gamma (h_f-h_i) of a transverse
-    rotation amplitude synthesized by successive kicks.
-
-    Like plateau_asymptotic it depends on neither the kick count nor h_i and
-    does not describe the simulated kick product (same h 10 -> 10.1
-    counter-example); it predicts a smooth sin^2 k envelope that the product
-    does not have.  See kick_pk_leading_order.
-    """
-    return (math.pi**2 / 2.0) * math.sin(k) ** 2 * gamma * (h_f - h_i)
 
 
 def kick_pk_leading_order(ks, gamma: float, h_i: float, h_f: float, n_kicks: int) -> np.ndarray:

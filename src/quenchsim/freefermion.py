@@ -43,7 +43,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .schedules import Control, KickTrain, Run, Strategy, _xy_geodesic_angles
-from .su2 import _CHUNK, Herm2, _err_terms, _ordered_product, _quat_identity, _quat_mul
+from .su2 import _CHUNK, _err_terms, _ordered_product, _quat_identity, _quat_mul
 from .su2 import _quat_steps, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
@@ -58,43 +58,12 @@ class Regime(str, enum.Enum):
     ISING = "ising"            # vary h, gamma = 1 fixed
 
 
-@dataclass(frozen=True)
-class KMode:
-    """Static data of one momentum sector at parameters (gamma, h)."""
-
-    k: float
-    a_k: float
-    delta_k: float
-    theta_k: float
-    e_k: float
-
-
-def kmode(k: float, gamma: float, h: float) -> KMode:
-    a = h - math.cos(k)
-    d = gamma * math.sin(k)
-    return KMode(k, a, d, math.atan2(d, a), math.hypot(a, d))
-
-
 def momentum_grid(n_spins: int) -> np.ndarray:
     """k_m = (2m-1) pi / N for m = 1..N/2; requires even N >= 2."""
     if n_spins < 2 or n_spins % 2 != 0:
         raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
     m = np.arange(1, n_spins // 2 + 1)
     return (2 * m - 1) * np.pi / n_spins
-
-
-def kmode_hamiltonian(k: float, gamma: float, h: float) -> Herm2:
-    """H_k = -2 (a_k Z + delta_k X)."""
-    mode = kmode(k, gamma, h)
-    return Herm2(0.0, np.array([-2 * mode.delta_k, 0.0, -2 * mode.a_k]))
-
-
-def ground_excited(k: float, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic ground / excited spinors of H_k."""
-    th = kmode(k, gamma, h).theta_k
-    g = np.array([math.cos(th / 2), math.sin(th / 2)], dtype=complex)
-    e = np.array([-math.sin(th / 2), math.cos(th / 2)], dtype=complex)
-    return g, e
 
 
 def excitation_prob(
@@ -105,9 +74,13 @@ def excitation_prob(
     gamma_i: float,
     h_i: float,
 ) -> float:
-    """p_k = |<excited(final params)| U |ground(initial params)>|^2."""
-    g_i, _ = ground_excited(k, gamma_i, h_i)
-    _, e_f = ground_excited(k, gamma_f, h_f)
+    """p_k = |<excited(final params)| U |ground(initial params)>|^2, with
+    the ground state of the module docstring and the excited state
+    (-sin(theta_k/2), cos(theta_k/2))."""
+    th_i = math.atan2(gamma_i * math.sin(k), h_i - math.cos(k))
+    th_f = math.atan2(gamma_f * math.sin(k), h_f - math.cos(k))
+    g_i = np.array([math.cos(th_i / 2), math.sin(th_i / 2)], dtype=complex)
+    e_f = np.array([-math.sin(th_f / 2), math.cos(th_f / 2)], dtype=complex)
     amp = np.vdot(e_f, U @ g_i)
     return float(min(abs(amp) ** 2, 1.0))
 
@@ -356,12 +329,6 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
     return _quat_to_unitary(Uq), (np.abs(integral) if track_err else None)
 
 
-def evolve_mode_stepwise(k: float, cfg: ChainConfig) -> np.ndarray:
-    """Propagator of a single momentum mode under cfg (2x2 unitary)."""
-    U, _ = evolve_modes(cfg, np.array([k]))
-    return U[0]
-
-
 def evolve_mode_kicks_exact(k: float, theta_seq: np.ndarray, gamma: float) -> np.ndarray:
     """Ordered product of SU(2) kick rotations on the field-sweep line.
 
@@ -398,7 +365,7 @@ def run_chain(cfg: ChainConfig, track_err: bool = False):
     pk = np.minimum(np.abs(amp) ** 2, 1.0)
     result = DefectResult(
         pk={float(k): float(p) for k, p in zip(ks, pk)},
-        n_defect=float(pk.mean() / 2.0),
+        n_defect=defect_density(pk),
         rate=1.0 / cfg.T,
     )
     return result, err

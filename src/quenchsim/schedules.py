@@ -82,13 +82,26 @@ def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedu
     """Constant-FS-speed path for the two-level sweep field.
 
     theta endpoints are atan2(x, eps) (equal to arctan(x/eps) for eps > 0) and
-    x(t) = eps * tan(theta(t)).
+    x(t) = eps * tan(theta(t)).  For eps < 0 the endpoints can lie more than
+    pi apart; theta_f is then moved onto the short arc (through theta = pi),
+    so the sweep mirrors the one at -eps and tan(theta(t)) crosses no pole.
     """
     if T <= 0:
         raise ValueError(f"total time must be positive, got T={T}")
     if eps == 0:
         raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
-    return Schedule(float(T), math.atan2(x_i, eps), math.atan2(x_f, eps), float(eps), 0.0)
+    th_i, th_f = math.atan2(x_i, eps), math.atan2(x_f, eps)
+    # a short arc is kept as is: the wrap's fmod arithmetic can move it by an ulp
+    if abs(th_f - th_i) > math.pi:
+        th_f = float(_short_arc(th_i, th_f))
+    return Schedule(float(T), th_i, th_f, float(eps), 0.0)
+
+
+def _short_arc(th_i, th_f):
+    """th_f moved by a multiple of 2 pi so that th_f - th_i lies in (-pi, pi]."""
+    w = np.fmod(th_f - th_i + math.pi, 2 * math.pi)
+    w = np.where(w <= 0, w + 2 * math.pi, w)
+    return th_i + (w - math.pi)
 
 
 def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float):
@@ -123,10 +136,7 @@ def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float)
     th_i = _atan2(y_i, x).astype(float)
     th_f = _atan2(y_f, x).astype(float)
     if mode is Control.ANISOTROPY:
-        # wrap th_f - th_i into (-pi, pi]
-        w = np.fmod(th_f - th_i + math.pi, 2 * math.pi)
-        w[w <= 0] += 2 * math.pi
-        th_f = th_i + (w - math.pi)
+        th_f = _short_arc(th_i, th_f)
     return th_i, th_f
 
 
@@ -260,14 +270,3 @@ def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:
         )
     return KickTrain(n_kicks, float(T), float(delta_t), math.pi / (2 * delta_t), times)
 
-
-def fs_metric_gamma(k: float, gamma: float, h: float) -> float:
-    """Fubini-Study metric component for the anisotropy direction:
-    g = (1/4) (d theta / d gamma)^2 = (1/4) sin^2(k) a^2 / E^4
-    with a = h - cos k and E^2 = a^2 + (gamma sin k)^2."""
-    s, c = math.sin(k), math.cos(k)
-    a = h - c
-    if abs(a) < 1e-12:
-        raise ValueError(f"h = cos(k) = {c}: metric undefined on the anisotropy axis")
-    e2 = a * a + (gamma * s) ** 2
-    return 0.25 * (s * a) ** 2 / (e2 * e2)

@@ -1,137 +1,20 @@
-"""Exact 2x2 Hermitian / SU(2) kernels.
-
-Every Hamiltonian in this package is a 2x2 Hermitian matrix written in Bloch
-form H = c*I + d.sigma with a real scalar c and a real 3-vector d.  That
-representation is exact (no basis truncation), and it makes the propagator
-exp(-i H dt) available in closed form through cos/sin of |d|*dt, so the inner
-time-stepping loops never touch a generic matrix exponential.
-
-All functions here are pure; spinors are plain complex ndarrays of shape (2,)
-and unitaries are complex ndarrays of shape (2, 2).
+"""The SU(2) kernel both engines step on.
 
 Both engines, a Landau-Zener sweep and every momentum mode of the chain,
 step one traceless generator H = -2 (a Z + d X) with the vectorized kernel
 below: step quaternions, their time-ordered product (a tree reduction, or
 every prefix of it for a trajectory) and the adiabaticity-error terms
-e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.
+e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.  The
+propagator exp(-i H dt) of each step is closed form, through cos/sin of
+|H| dt, so no loop touches a generic matrix exponential.
+
+Besides the quaternion kernel only expm_bloch_batch, the complex 2x2 form
+of the same step, lives here, for the benchmark tracer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-IDENT = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-SPIN_UP = np.array([1, 0], dtype=complex)
-SPIN_DOWN = np.array([0, 1], dtype=complex)
-
-
-@dataclass(frozen=True)
-class Herm2:
-    """2x2 Hermitian generator H = c*I + d[0]*X + d[1]*Y + d[2]*Z (energy units)."""
-
-    c: float
-    d: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.d, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError(f"d must be a real 3-vector, got shape {vec.shape}")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", vec)
-
-    def to_matrix(self) -> np.ndarray:
-        dx, dy, dz = self.d
-        return np.array(
-            [[self.c + dz, dx - 1j * dy], [dx + 1j * dy, self.c - dz]],
-            dtype=complex,
-        )
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Herm2":
-        """Extract (c, d); exact inverse of to_matrix for Hermitian input."""
-        m = np.asarray(m, dtype=complex)
-        c = (m[0, 0].real + m[1, 1].real) / 2
-        dz = (m[0, 0].real - m[1, 1].real) / 2
-        dx = (m[0, 1].real + m[1, 0].real) / 2
-        dy = (m[1, 0].imag - m[0, 1].imag) / 2
-        return cls(c, np.array([dx, dy, dz]))
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Gauge: rotate the global phase so the largest-magnitude amplitude is
-    real and positive (ties broken by the first index, via argmax)."""
-    idx = int(np.argmax(np.abs(v)))
-    a = v[idx]
-    if a == 0:
-        return v
-    return v * (np.conj(a) / abs(a))
-
-
-def eig2(h: Herm2) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of H = c*I + d.sigma.
-
-    Returns (e_minus, e_plus, ground, excited) with e_minus <= e_plus and the
-    global phase of both spinors fixed by _fix_phase, so repeated calls on the
-    same input are bitwise identical.  The degenerate case |d| = 0 returns the
-    canonical basis (up, down) with both energies equal to c.
-    """
-    dx, dy, dz = h.d
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if r == 0.0:
-        return h.c, h.c, SPIN_UP.copy(), SPIN_DOWN.copy()
-    # Pick the better-conditioned null-space expression for the ground state:
-    # (d.sigma) v = -r v  =>  v ~ (-(dx - i dy), dz + r)  or  (dz - r, dx + i dy).
-    if dz >= 0.0:
-        g = np.array([-(dx - 1j * dy), dz + r], dtype=complex)
-    else:
-        g = np.array([dz - r, dx + 1j * dy], dtype=complex)
-    g = g / np.linalg.norm(g)
-    e = np.array([-np.conj(g[1]), np.conj(g[0])], dtype=complex)
-    g = _fix_phase(g)
-    e = _fix_phase(e)
-    return h.c - r, h.c + r, g, e
-
-
-def expm_herm2(h: Herm2, dt: float) -> np.ndarray:
-    """exp(-i H dt) in closed form: e^{-ic dt} (cos(r dt) I - i sin(r dt) n.sigma)
-    with r = |d|.  Unconditionally unitary; no series truncation."""
-    dx, dy, dz = h.d
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    phase = np.exp(-1j * h.c * dt)
-    if r == 0.0:
-        return phase * IDENT
-    ang = r * dt
-    cs, sn = np.cos(ang), np.sin(ang)
-    nmat = (dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) / r
-    return phase * (cs * IDENT - 1j * sn * nmat)
-
-
-def su2_rotation(axis: np.ndarray, alpha: float) -> np.ndarray:
-    """cos(alpha) I + i sin(alpha) (axis.sigma) = exp(+i alpha axis.sigma).
-
-    axis must be a unit 3-vector to within 1e-9.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,):
-        raise ValueError(f"axis must be a real 3-vector, got shape {axis.shape}")
-    norm = np.linalg.norm(axis)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"axis must be unit length (|axis| = {norm!r})")
-    nmat = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
-    return np.cos(alpha) * IDENT + 1j * np.sin(alpha) * nmat
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared overlap |<a|b>|^2; symmetric and global-phase invariant."""
-    ov = np.vdot(a, b)
-    f = float(ov.real * ov.real + ov.imag * ov.imag)
-    return min(f, 1.0)
 
 
 def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:

@@ -1,0 +1,214 @@
+"""Independent reference implementations for the tests.
+
+Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
+the engines in quenchsim do not run.  Nothing here imports quenchsim, so a
+check against an oracle cannot share code with the engine it checks.
+
+Every Hamiltonian here is a 2x2 Hermitian matrix written in Bloch form
+H = c*I + d.sigma with a real scalar c and a real 3-vector d; spinors are
+plain complex ndarrays of shape (2,) and unitaries complex ndarrays of
+shape (2, 2).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+IDENT = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+SPIN_UP = np.array([1, 0], dtype=complex)
+SPIN_DOWN = np.array([0, 1], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 Hermitian generators and SU(2) matrices
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Herm2:
+    """2x2 Hermitian generator H = c*I + d[0]*X + d[1]*Y + d[2]*Z (energy units)."""
+
+    c: float
+    d: np.ndarray
+
+    def __post_init__(self):
+        vec = np.asarray(self.d, dtype=float)
+        if vec.shape != (3,):
+            raise ValueError(f"d must be a real 3-vector, got shape {vec.shape}")
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "d", vec)
+
+    def to_matrix(self) -> np.ndarray:
+        dx, dy, dz = self.d
+        return np.array(
+            [[self.c + dz, dx - 1j * dy], [dx + 1j * dy, self.c - dz]],
+            dtype=complex,
+        )
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "Herm2":
+        """Extract (c, d); exact inverse of to_matrix for Hermitian input."""
+        m = np.asarray(m, dtype=complex)
+        c = (m[0, 0].real + m[1, 1].real) / 2
+        dz = (m[0, 0].real - m[1, 1].real) / 2
+        dx = (m[0, 1].real + m[1, 0].real) / 2
+        dy = (m[1, 0].imag - m[0, 1].imag) / 2
+        return cls(c, np.array([dx, dy, dz]))
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Gauge: rotate the global phase so the largest-magnitude amplitude is
+    real and positive (ties broken by the first index, via argmax)."""
+    idx = int(np.argmax(np.abs(v)))
+    a = v[idx]
+    if a == 0:
+        return v
+    return v * (np.conj(a) / abs(a))
+
+
+def eig2(h: Herm2) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Closed-form eigendecomposition of H = c*I + d.sigma.
+
+    Returns (e_minus, e_plus, ground, excited) with e_minus <= e_plus and the
+    global phase of both spinors fixed by _fix_phase, so repeated calls on the
+    same input are bitwise identical.  The degenerate case |d| = 0 returns the
+    canonical basis (up, down) with both energies equal to c.
+    """
+    dx, dy, dz = h.d
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if r == 0.0:
+        return h.c, h.c, SPIN_UP.copy(), SPIN_DOWN.copy()
+    # Pick the better-conditioned null-space expression for the ground state:
+    # (d.sigma) v = -r v  =>  v ~ (-(dx - i dy), dz + r)  or  (dz - r, dx + i dy).
+    if dz >= 0.0:
+        g = np.array([-(dx - 1j * dy), dz + r], dtype=complex)
+    else:
+        g = np.array([dz - r, dx + 1j * dy], dtype=complex)
+    g = g / np.linalg.norm(g)
+    e = np.array([-np.conj(g[1]), np.conj(g[0])], dtype=complex)
+    g = _fix_phase(g)
+    e = _fix_phase(e)
+    return h.c - r, h.c + r, g, e
+
+
+def expm_herm2(h: Herm2, dt: float) -> np.ndarray:
+    """exp(-i H dt) in closed form: e^{-ic dt} (cos(r dt) I - i sin(r dt) n.sigma)
+    with r = |d|.  Unconditionally unitary; no series truncation."""
+    dx, dy, dz = h.d
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    phase = np.exp(-1j * h.c * dt)
+    if r == 0.0:
+        return phase * IDENT
+    ang = r * dt
+    cs, sn = np.cos(ang), np.sin(ang)
+    nmat = (dx * PAULI_X + dy * PAULI_Y + dz * PAULI_Z) / r
+    return phase * (cs * IDENT - 1j * sn * nmat)
+
+
+def su2_rotation(axis: np.ndarray, alpha: float) -> np.ndarray:
+    """cos(alpha) I + i sin(alpha) (axis.sigma) = exp(+i alpha axis.sigma).
+
+    axis must be a unit 3-vector to within 1e-9.
+    """
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,):
+        raise ValueError(f"axis must be a real 3-vector, got shape {axis.shape}")
+    norm = np.linalg.norm(axis)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"axis must be unit length (|axis| = {norm!r})")
+    nmat = axis[0] * PAULI_X + axis[1] * PAULI_Y + axis[2] * PAULI_Z
+    return np.cos(alpha) * IDENT + 1j * np.sin(alpha) * nmat
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared overlap |<a|b>|^2; symmetric and global-phase invariant."""
+    ov = np.vdot(a, b)
+    f = float(ov.real * ov.real + ov.imag * ov.imag)
+    return min(f, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# chain momentum modes: H_k = -2 (a_k Z + delta_k X)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KMode:
+    """Static data of one momentum sector at parameters (gamma, h)."""
+
+    k: float
+    a_k: float
+    delta_k: float
+    theta_k: float
+    e_k: float
+
+
+def kmode(k: float, gamma: float, h: float) -> KMode:
+    a = h - math.cos(k)
+    d = gamma * math.sin(k)
+    return KMode(k, a, d, math.atan2(d, a), math.hypot(a, d))
+
+
+def kmode_hamiltonian(k: float, gamma: float, h: float) -> Herm2:
+    """H_k = -2 (a_k Z + delta_k X)."""
+    mode = kmode(k, gamma, h)
+    return Herm2(0.0, np.array([-2 * mode.delta_k, 0.0, -2 * mode.a_k]))
+
+
+def ground_excited(k: float, gamma: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic ground / excited spinors of H_k."""
+    th = kmode(k, gamma, h).theta_k
+    g = np.array([math.cos(th / 2), math.sin(th / 2)], dtype=complex)
+    e = np.array([-math.sin(th / 2), math.cos(th / 2)], dtype=complex)
+    return g, e
+
+
+def fs_metric_gamma(k: float, gamma: float, h: float) -> float:
+    """Fubini-Study metric component for the anisotropy direction:
+    g = (1/4) (d theta / d gamma)^2 = (1/4) sin^2(k) a^2 / E^4
+    with a = h - cos k and E^2 = a^2 + (gamma sin k)^2."""
+    s, c = math.sin(k), math.cos(k)
+    a = h - c
+    if abs(a) < 1e-12:
+        raise ValueError(f"h = cos(k) = {c}: metric undefined on the anisotropy axis")
+    e2 = a * a + (gamma * s) ** 2
+    return 0.25 * (s * a) ** 2 / (e2 * e2)
+
+
+# ---------------------------------------------------------------------------
+# Landau-Zener sweep: H(x) = (x X + eps Z)/2
+# ---------------------------------------------------------------------------
+
+
+def lz_hamiltonian(x: float, eps: float) -> Herm2:
+    """H = (x X + eps Z) / 2."""
+    return Herm2(0.0, np.array([x / 2, 0.0, eps / 2]))
+
+
+def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -> np.ndarray:
+    """Adiabaticity error eps01(lambda) = |int_0^lambda e^{i phi} dlambda'|
+    with phi(lambda) = T * int_0^lambda (E0 - E1) dlambda', both integrals
+    accumulated by the trapezoidal rule on the given grid."""
+    lam = np.asarray(lam, dtype=float)
+    e0 = np.asarray(e0, dtype=float)
+    e1 = np.asarray(e1, dtype=float)
+    if not (lam.shape == e0.shape == e1.shape):
+        raise ValueError("lambda, E0, E1 grids must share one shape")
+    if lam.ndim != 1 or len(lam) < 2:
+        raise ValueError("need at least two grid points")
+    if np.any(np.diff(lam) < 0):
+        raise ValueError("lambda grid must be monotone non-decreasing")
+    diff = e0 - e1
+    seg = 0.5 * (diff[1:] + diff[:-1]) * np.diff(lam)
+    phi = T * np.concatenate([[0.0], np.cumsum(seg)])
+    f = np.exp(1j * phi)
+    seg2 = 0.5 * (f[1:] + f[:-1]) * np.diff(lam)
+    integral = np.concatenate([[0.0 + 0.0j], np.cumsum(seg2)])
+    return np.abs(integral)

@@ -6,13 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from quenchsim.analysis import (
-    fit_power_law,
-    kick_pk_leading_order,
-    kz_exponent,
-    phi_y_amplitude,
-    plateau_asymptotic,
-)
+from quenchsim.analysis import fit_power_law, kick_pk_leading_order, kz_exponent
 from quenchsim.freefermion import evolve_mode_kicks_exact, excitation_prob, momentum_grid
 
 
@@ -80,41 +74,6 @@ class TestFitPowerLaw:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             fit_power_law([(0.1, 1.0), (0.2, -1.0), (0.3, 1.0)], (0.01, 1.0))
-
-
-class TestPlateauAsymptotic:
-    def test_zero_path(self):
-        assert plateau_asymptotic(1.0, 5.0, 5.0) == 0.0
-
-    def test_reference_value(self):
-        """gamma=1, dh=0.1 gives pi^4/3200 ~ 0.030440."""
-        assert plateau_asymptotic(1.0, 1.0, 1.1) == pytest.approx(0.030440340948125755)
-
-    def test_quadratic_in_gamma(self):
-        one = plateau_asymptotic(1.0, 0.0, 0.3)
-        two = plateau_asymptotic(2.0, 0.0, 0.3)
-        assert two == pytest.approx(4 * one)
-
-    def test_ratio_follows_dh_squared(self):
-        """Formula values at dh = 0.05, 0.1, 0.2 scale exactly as dh^2."""
-        vals = [plateau_asymptotic(1.0, 1.0, 1.0 + dh) for dh in (0.05, 0.1, 0.2)]
-        assert vals[1] / vals[0] == pytest.approx(4.0, rel=1e-12)
-        assert vals[2] / vals[1] == pytest.approx(4.0, rel=1e-12)
-
-
-class TestPhiYAmplitude:
-    def test_zero_momentum(self):
-        assert phi_y_amplitude(0.0, 1.0, 0.0, 0.1) == 0.0
-
-    def test_reference_value(self):
-        """k=pi/2, gamma=1, dh=0.1 gives pi^2/20."""
-        assert phi_y_amplitude(math.pi / 2, 1.0, 1.0, 1.1) == pytest.approx(math.pi**2 / 20)
-        assert phi_y_amplitude(math.pi / 2, 1.0, 1.0, 1.1) == pytest.approx(0.49348022005446793)
-
-    def test_sign_flips_with_sweep_direction(self):
-        up = phi_y_amplitude(1.0, 1.0, 0.0, 0.1)
-        down = phi_y_amplitude(1.0, 1.0, 0.1, 0.0)
-        assert down == pytest.approx(-up)
 
 
 class TestKickLeadingOrder:

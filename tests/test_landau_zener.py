@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from quenchsim.landau_zener import LZConfig, adiabatic_error, evolve_lz, lz_hamiltonian
+from quenchsim.landau_zener import LZConfig, evolve_lz
 from quenchsim.schedules import Strategy, kick_train, lz_geodesic_schedule
-from quenchsim.su2 import Herm2, eig2, expm_herm2
+
+from oracles import Herm2, adiabatic_error, eig2, expm_herm2, fidelity, lz_hamiltonian
 
 
 def cfg_for(strategy, T, dt, nkicks=0, width=None, eps=0.1):
@@ -129,6 +130,26 @@ class TestEvolve:
         traj = evolve_lz(cfg_for(Strategy.GEO, 2.0, 1e-3))
         mags = traj.phase_diff_re**2 + traj.phase_diff_im**2
         assert np.allclose(mags, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("strategy,T,dt,nkicks", [
+        (Strategy.LIN, 400.0, 1e-2, 0),
+        (Strategy.GEO, 1e4, 5e-2, 0),
+        (Strategy.GEO_JUMP, 1.0, 1e-3, 50),
+    ])
+    def test_slow_sweep_ends_in_the_final_ground_state(self, strategy, T, dt, nkicks):
+        """Every strategy starts in the ground state, so a slow sweep (or a
+        dense kick train) ends in the ground state of H(x_f) from eig2."""
+        traj = evolve_lz(cfg_for(strategy, T, dt, nkicks=nkicks, eps=1.0))
+        _, _, ground, _ = eig2(lz_hamiltonian(10.0, 1.0))
+        assert fidelity(ground, traj.final_state) > 1 - 1e-6
+
+    @pytest.mark.parametrize("strategy,nkicks", [(Strategy.GEO, 0), (Strategy.GEO_JUMP, 7)])
+    def test_geodesics_do_not_depend_on_the_sign_of_eps(self, strategy, nkicks):
+        """eps -> -eps mirrors the sweep about the X axis: with the short
+        arc taken at eps < 0 the fidelity matches at every node."""
+        plus = evolve_lz(cfg_for(strategy, 1.0, 1e-4, nkicks=nkicks, eps=0.1))
+        minus = evolve_lz(cfg_for(strategy, 1.0, 1e-4, nkicks=nkicks, eps=-0.1))
+        assert np.abs(plus.fidelity - minus.fidelity).max() < 1e-12
 
 
 def loop_reference(cfg):

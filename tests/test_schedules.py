@@ -10,11 +10,12 @@ from quenchsim.landau_zener import LZConfig
 from quenchsim.schedules import (
     Control,
     Strategy,
-    fs_metric_gamma,
     kick_train,
     lz_geodesic_schedule,
     xy_geodesic_schedule,
 )
+
+from oracles import fs_metric_gamma
 
 
 def ising(h_i, h_f, T, dt=1e-3, **kw):
@@ -64,6 +65,19 @@ class TestLZGeodesicSchedule:
     def test_rejects_zero_eps(self):
         with pytest.raises(ValueError):
             lz_geodesic_schedule(-1.0, 1.0, 0.0, 1.0)
+
+    def test_negative_eps_takes_the_short_arc(self):
+        """At eps < 0 the endpoints atan2(-+10, -0.1) = -+1.5808 lie more
+        than pi apart; the path takes the short arc through theta = -pi
+        (x = 0), so x(t) runs monotonically from -10 to 10 and crosses no
+        tan pole."""
+        s = lz_geodesic_schedule(-10.0, 10.0, -0.1, 1.0)
+        assert abs(s.theta_f - s.theta_i) <= math.pi
+        x = s.value(np.linspace(0.0, 1.0, 10001))
+        assert np.all(np.diff(x) > 0)
+        assert x[0] == pytest.approx(-10.0, abs=1e-9)
+        assert x[-1] == pytest.approx(10.0, abs=1e-9)
+        assert s.value(0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestXYGeodesicSchedule:

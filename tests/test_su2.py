@@ -4,13 +4,6 @@ import numpy as np
 import pytest
 
 from quenchsim.su2 import (
-    IDENT,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    SPIN_DOWN,
-    SPIN_UP,
-    Herm2,
     _err_terms,
     _ordered_product,
     _phase_ramp,
@@ -19,8 +12,18 @@ from quenchsim.su2 import (
     _quat_mul,
     _quat_steps,
     _quat_to_unitary,
-    eig2,
     expm_bloch_batch,
+)
+
+from oracles import (
+    IDENT,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SPIN_DOWN,
+    SPIN_UP,
+    Herm2,
+    eig2,
     expm_herm2,
     fidelity,
     su2_rotation,
