@@ -11,6 +11,11 @@ Subcommands:
 chain and sweep share one runner: a table is a list of (rate, ChainConfig)
 cells, all built (and so checked) before the first one runs.
 
+Each flag's default lives on its argument.  A config file's values, converted
+as their flags convert the command line, become the subcommand parser's
+defaults, so flags given explicitly still override them; the resolved
+settings (and the manifest's keys) are every destination of that parser.
+
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
 are reduced in submission order, and floats are written with shortest
 round-trip repr, so identical configs produce byte-identical files for any
@@ -136,25 +141,24 @@ def _convert(action: argparse.Action, value):
     return out[0] if action.nargs is None else out
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit command-line flags."""
-    resolved = dict(defaults)
-    if getattr(ns, "config", None):
-        file_cfg = _load_config_file(ns.config)
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        actions = {a.dest: a for a in ns.parser._actions}
-        for key, value in file_cfg.items():
-            try:
-                resolved[key] = _convert(actions[key], value)
-            except ValueError as exc:
-                raise ValueError(f"{ns.config}: {key}: {exc}") from exc
-    for key in defaults:
-        val = getattr(ns, key, None)
-        if val is not None:
-            resolved[key] = val
-    return resolved
+def _config_defaults(ns: argparse.Namespace) -> None:
+    """Make the config file's values the defaults of the subcommand's parser."""
+    file_cfg = _load_config_file(ns.config)
+    actions = {a.dest: a for a in ns.parser._actions}
+    unknown = set(file_cfg) - set(_settings(ns))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    for key, value in file_cfg.items():
+        try:
+            ns.parser.set_defaults(**{key: _convert(actions[key], value)})
+        except ValueError as exc:
+            raise ValueError(f"{ns.config}: {key}: {exc}") from exc
+
+
+def _settings(ns: argparse.Namespace) -> dict:
+    """The resolved run settings: every destination of the subcommand's parser."""
+    return {a.dest: getattr(ns, a.dest) for a in ns.parser._actions
+            if a.dest not in ("help", "config")}
 
 
 def _resolve_workers(spec) -> int:
@@ -170,20 +174,8 @@ def _resolve_workers(spec) -> int:
 # lz
 # ---------------------------------------------------------------------------
 
-_LZ_DEFAULTS = {
-    "strategy": "lin",
-    "eps": 0.1,
-    "x": [-10.0, 10.0],
-    "T": 1.0,
-    "dt": 1e-4,
-    "kicks": 0,
-    "pulse_width": 0.0,  # 0 -> use dt (single-sample kicks)
-    "out": "lz_trajectory.csv",
-}
-
-
 def _run_lz(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _LZ_DEFAULTS)
+    cfg = _settings(ns)
     T, dt, kicks = cfg["T"], cfg["dt"], cfg["kicks"]
     traj = evolve_lz(LZConfig(
         eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=T, dt=dt,
@@ -202,25 +194,6 @@ def _run_lz(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # chain / sweep
 # ---------------------------------------------------------------------------
-
-_CHAIN_DEFAULTS = {
-    "regime": "ising",
-    "strategy": "lin",
-    "spins": 250,
-    "gamma": None,  # regime-dependent default
-    "h": None,
-    "rates": None,
-    "dt": 1e-4,
-    "kicks": 0,
-    "pulse_width": 0.0,
-    "per_mode_geodesic": False,
-    "workers": "auto",
-    "out": "defects.csv",
-    "modes_out": "",
-}
-
-_SWEEP_DEFAULTS = {k: v for k, v in _CHAIN_DEFAULTS.items() if k != "modes_out"}
-_SWEEP_DEFAULTS.update(strategy=["lin"], kicks=[0], pulse_width=[0.0], out="sweep.csv")
 
 # (gamma, h) of each regime when not given
 _REGIME_DEFAULTS = {Regime.ISING: ([1.0, 1.0], [10.0, 0.0]),
@@ -281,7 +254,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     also writes the mode table of its single rate; sweep runs the product of
     its lists, with kicks and widths for geojump only."""
     sweep = ns.command == "sweep"
-    cfg = _resolve(ns, _SWEEP_DEFAULTS if sweep else _CHAIN_DEFAULTS)
+    cfg = _settings(ns)
     if cfg["rates"] is None:
         raise ValueError(f"{ns.command} requires --rates (list or: log MIN MAX COUNT)")
     rates = _parse_rates(cfg["rates"])
@@ -320,37 +293,31 @@ def _run_table(ns: argparse.Namespace) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-_FIT_DEFAULTS = {
-    "input": "",
-    "window": None,
-    "out": "fit_report.csv",
-}
-
-
 def _run_fit(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _FIT_DEFAULTS)
+    cfg = _settings(ns)
     if not cfg["input"]:
         raise ValueError("fit requires --input CSV")
     if cfg["window"] is None:
         raise ValueError("fit requires --window MIN MAX")
     lo, hi = cfg["window"]
-    groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    columns = ("regime", "strategy", "kicks", "pulse_width")
+    groups: dict[tuple[str, ...], list[tuple[float, float]]] = {}
     with open(cfg["input"], newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "rate" not in reader.fieldnames \
                 or "n_defect" not in reader.fieldnames:
             raise ValueError(f"{cfg['input']}: need columns 'rate' and 'n_defect'")
         for rec in reader:
-            key = (rec.get("regime", ""), rec.get("strategy", ""))
+            key = tuple(rec.get(col, "") for col in columns)
             groups.setdefault(key, []).append((float(rec["rate"]), float(rec["n_defect"])))
     rows = []
-    for (regime, strategy) in sorted(groups):
-        fit = fit_power_law(groups[(regime, strategy)], (lo, hi))
-        rows.append((regime, strategy, fit.exponent, fit.r_squared, lo, hi))
-        print(f"fit regime={regime or '-'} strategy={strategy or '-'} "
-              f"exponent={fit.exponent:.4f} r2={fit.r_squared:.6f}")
-    _atomic_write(cfg["out"], ["regime", "strategy", "exponent", "r_squared",
-                               "window_min", "window_max"], rows)
+    for key in sorted(groups):
+        fit = fit_power_law(groups[key], (lo, hi))
+        rows.append((*key, fit.exponent, fit.r_squared, lo, hi))
+        print("fit " + " ".join(f"{col}={v or '-'}" for col, v in zip(columns, key))
+              + f" exponent={fit.exponent:.4f} r2={fit.r_squared:.6f}")
+    _atomic_write(cfg["out"], [*columns, "exponent", "r_squared", "window_min", "window_max"],
+                  rows)
     _write_manifest(cfg["out"], cfg)
     return 0
 
@@ -360,9 +327,9 @@ def _run_fit(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: str) -> None:
     p.add_argument("--config", help="JSON file with defaults (flags override)")
-    p.add_argument("--out", "-o", help="output CSV path")
+    p.add_argument("--out", "-o", default=out, help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,53 +339,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"quenchsim {__version__}")
     sub = parser.add_subparsers(dest="command")
+    strategies = [s.value for s in Strategy]
 
     p = sub.add_parser("lz", help="two-level sweep trajectory")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy])
-    p.add_argument("--eps", type=float)
-    p.add_argument("--x", type=float, nargs=2, metavar=("XI", "XF"))
-    p.add_argument("--T", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--kicks", type=int)
-    p.add_argument("--pulse-width", dest="pulse_width", type=float)
-    _add_common(p)
+    p.add_argument("--strategy", choices=strategies, default="lin")
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--x", type=float, nargs=2, metavar=("XI", "XF"), default=[-10.0, 10.0])
+    p.add_argument("--T", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1e-4)
+    p.add_argument("--kicks", type=int, default=0)
+    # a width of 0 means dt (single-sample kicks)
+    p.add_argument("--pulse-width", dest="pulse_width", type=float, default=0.0)
+    _add_common(p, "lz_trajectory.csv")
     p.set_defaults(func=_run_lz, parser=p)
 
-    for name, help_text, multi in (
-        ("chain", "one chain protocol across quench rates", False),
-        ("sweep", "cross strategies x kicks x widths x rates", True),
+    for name, help_text, multi, out in (
+        ("chain", "one chain protocol across quench rates", False, "defects.csv"),
+        ("sweep", "cross strategies x kicks x widths x rates", True, "sweep.csv"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--regime", choices=[r.value for r in Regime])
-        if multi:
-            p.add_argument("--strategy", choices=[s.value for s in Strategy], nargs="+")
-            p.add_argument("--kicks", type=int, nargs="+")
-            p.add_argument("--pulse-width", dest="pulse_width", type=float, nargs="+")
-        else:
-            p.add_argument("--strategy", choices=[s.value for s in Strategy])
-            p.add_argument("--kicks", type=int)
-            p.add_argument("--pulse-width", dest="pulse_width", type=float)
-        p.add_argument("--spins", type=int)
+        p.add_argument("--regime", choices=[r.value for r in Regime], default="ising")
+        # sweep takes a list of each, chain one value
+        nargs, one = ("+", lambda v: [v]) if multi else (None, lambda v: v)
+        p.add_argument("--strategy", choices=strategies, nargs=nargs, default=one("lin"))
+        p.add_argument("--kicks", type=int, nargs=nargs, default=one(0))
+        p.add_argument("--pulse-width", dest="pulse_width", type=float, nargs=nargs,
+                       default=one(0.0))
+        p.add_argument("--spins", type=int, default=250)
         p.add_argument("--gamma", type=float, nargs=2, metavar=("GI", "GF"))
         p.add_argument("--h", type=float, nargs=2, metavar=("HI", "HF"))
         p.add_argument("--rates", nargs="+", metavar="R",
                        help="explicit rates, or: log MIN MAX COUNT")
-        p.add_argument("--dt", type=float)
-        p.add_argument("--per-mode-geodesic", dest="per_mode_geodesic",
-                       action="store_true", default=None,
+        p.add_argument("--dt", type=float, default=1e-4)
+        p.add_argument("--per-mode-geodesic", dest="per_mode_geodesic", action="store_true",
                        help="use one constant-speed schedule per mode instead of "
                             "the collective constant-speed control")
-        p.add_argument("--workers", help="worker processes (integer or 'auto')")
+        p.add_argument("--workers", default="auto", help="worker processes (integer or 'auto')")
         if not multi:
-            p.add_argument("--modes-out", dest="modes_out",
+            p.add_argument("--modes-out", dest="modes_out", default="",
                            help="per-mode CSV (k, p_k, err_k); single rate only")
-        _add_common(p)
+        _add_common(p, out)
         p.set_defaults(func=_run_table, parser=p)
 
     p = sub.add_parser("fit", help="log-log power-law fit of a defect table")
-    p.add_argument("--input", help="defect CSV with columns rate, n_defect")
+    p.add_argument("--input", default="", help="defect CSV with columns rate, n_defect")
     p.add_argument("--window", type=float, nargs=2, metavar=("MIN", "MAX"))
-    _add_common(p)
+    _add_common(p, "fit_report.csv")
     p.set_defaults(func=_run_fit, parser=p)
 
     return parser
@@ -435,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
+        if ns.config:
+            _config_defaults(ns)
+            ns = parser.parse_args(argv)
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,7 +101,10 @@ class ChainConfig(Run):
     """One chain quench: regime fixes which parameter varies.
 
     Gamma regimes (anisotropy, gapless) sweep gamma_i -> gamma_f at fixed
-    h = h_i = h_f; the Ising regime sweeps h_i -> h_f at gamma = 1.  For the
+    h = h_i = h_f; the Ising regime sweeps h_i -> h_f at gamma = 1.  control
+    gives the varying control's endpoints (p_i, p_f) and params(p) the
+    (gamma, h) at control value p; every ramp of the control, linear or
+    collective, is a sampler of that map.  For the
     geodesic strategy, collective_geodesic selects one shared control ramp
     with constant speed under the summed mode metric (default) instead of an
     independent constant-speed schedule per mode.  The step grid and the
@@ -123,8 +126,7 @@ class ChainConfig(Run):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_spins < 2 or self.n_spins % 2 != 0:
-            raise ValueError(f"n_spins must be even and >= 2, got {self.n_spins}")
+        ks = momentum_grid(self.n_spins)
         if self.regime is Regime.ISING:
             if self.gamma_i != 1.0 or self.gamma_f != 1.0:
                 raise ValueError(
@@ -141,7 +143,7 @@ class ChainConfig(Run):
             if self.regime is Regime.ANISOTROPY and abs(self.h_i) >= 1.0:
                 raise ValueError(f"anisotropy regime requires |h| < 1, got h={self.h_i}")
         if self.on_mode_geodesics:
-            _mode_geodesic_angles(self, momentum_grid(self.n_spins))
+            _mode_geodesic_angles(self, ks)
 
     @property
     def varies_h(self) -> bool:
@@ -153,12 +155,19 @@ class ChainConfig(Run):
         return self.strategy is Strategy.GEO_JUMP or (
             self.strategy is Strategy.GEO and not self.collective_geodesic)
 
+    @property
+    def control(self) -> tuple[float, float]:
+        """(p_i, p_f) of the varying control: h on the Ising line, gamma otherwise."""
+        return (self.h_i, self.h_f) if self.varies_h else (self.gamma_i, self.gamma_f)
+
+    def params(self, p):
+        """(gamma, h) at control value p (scalar or array)."""
+        return (self.gamma_i, p) if self.varies_h else (p, self.h_i)
+
     def params_at(self, frac):
         """(gamma, h) under the *linear* ramp at scaled time frac in [0, 1]."""
-        frac = np.asarray(frac, dtype=float)
-        if self.varies_h:
-            return self.gamma_i, self.h_i + (self.h_f - self.h_i) * frac
-        return self.gamma_i + (self.gamma_f - self.gamma_i) * frac, self.h_i
+        p_i, p_f = self.control
+        return self.params(p_i + (p_f - p_i) * np.asarray(frac, dtype=float))
 
 
 @dataclass
@@ -175,46 +184,28 @@ class DefectResult:
 # ---------------------------------------------------------------------------
 
 
-class ArcLengthRamp:
-    """Single control value(t) moving at constant speed under the summed
-    Fubini-Study metric of all momentum modes (tabulated and interpolated)."""
-
-    def __init__(self, values: np.ndarray, arclen: np.ndarray, p_i: float, p_f: float, T: float):
-        self._values = values
-        self._arclen = arclen
-        self.p_i = p_i
-        self.p_f = p_f
-        self.T = T
-
-    def value(self, t):
-        frac = np.clip(np.asarray(t, dtype=float) / self.T, 0.0, 1.0)
-        total = self._arclen[-1]
-        if self.p_i <= self.p_f:
-            target = total * frac
-        else:
-            target = total * (1.0 - frac)
-        return np.interp(target, self._arclen, self._values)
-
-
-def collective_geodesic_ramp(cfg: ChainConfig) -> ArcLengthRamp:
-    """Tabulate the arc-length parameterization of the varying control."""
+def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
+    """Return fn(frac) -> the collective control at scaled time frac in
+    [0, 1], moving at constant speed under the summed Fubini-Study metric of
+    all momentum modes (arc length tabulated on the control, interpolated)."""
     ks = momentum_grid(cfg.n_spins)
     s, c = np.sin(ks), np.cos(ks)
-    if cfg.varies_h:
-        p_i, p_f = cfg.h_i, cfg.h_f
-        grid = np.linspace(min(p_i, p_f), max(p_i, p_f), _RAMP_PTS)
-        a = grid[:, None] - c[None, :]
-        e2 = a * a + (cfg.gamma_i * s[None, :]) ** 2
-        g = 0.25 * (cfg.gamma_i * s[None, :]) ** 2 / (e2 * e2)
-    else:
-        p_i, p_f = cfg.gamma_i, cfg.gamma_f
-        grid = np.linspace(min(p_i, p_f), max(p_i, p_f), _RAMP_PTS)
-        a = cfg.h_i - c
-        e2 = a[None, :] ** 2 + (grid[:, None] * s[None, :]) ** 2
-        g = 0.25 * (s[None, :] * a[None, :]) ** 2 / (e2 * e2)
+    p_i, p_f = cfg.control
+    grid = np.linspace(min(p_i, p_f), max(p_i, p_f), _RAMP_PTS)
+    gamma, h = cfg.params(grid[:, None])
+    a, d = h - c, gamma * s
+    e2 = a * a + d * d
+    # (e2 dtheta/dp)^2: d^2 when h varies, (a sin k)^2 when gamma does
+    g = 0.25 * (d if cfg.varies_h else a * s) ** 2 / (e2 * e2)
     w = np.sqrt(g.sum(axis=1))
     arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
-    return ArcLengthRamp(grid, arclen, p_i, p_f, cfg.T)
+
+    def ramp(frac):
+        frac = np.clip(np.asarray(frac, dtype=float), 0.0, 1.0)
+        target = arclen[-1] * (frac if p_i <= p_f else 1.0 - frac)
+        return np.interp(target, arclen, grid)
+
+    return ramp
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +215,8 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> ArcLengthRamp:
 
 def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode affine angle endpoints (theta_i, theta_f) for geodesic paths."""
-    if cfg.varies_h:
-        return _xy_geodesic_angles(ks, Control.FIELD, cfg.h_i, cfg.h_f, cfg.gamma_i)
-    return _xy_geodesic_angles(ks, Control.ANISOTROPY, cfg.gamma_i, cfg.gamma_f, cfg.h_i)
+    mode, fixed = (Control.FIELD, cfg.gamma_i) if cfg.varies_h else (Control.ANISOTROPY, cfg.h_i)
+    return _xy_geodesic_angles(ks, mode, *cfg.control, fixed)
 
 
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
@@ -249,17 +239,13 @@ def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
             return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
 
         return geodesic
-    # the varying control: linear ramp, or the collective arc-length ramp
+    # the varying control: the collective arc-length ramp, or the linear one
     ramp = collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO else None
 
     def fn(frac):
-        if ramp is None:
-            p = cfg.params_at(frac)[1 if cfg.varies_h else 0]
-        else:
-            p = ramp.value(frac * cfg.T)
-        if cfg.varies_h:
-            return p[:, None] - c[None, :], np.broadcast_to(cfg.gamma_i * s, (len(frac), len(ks)))
-        return np.broadcast_to(cfg.h_i - c, (len(frac), len(ks))), p[:, None] * s[None, :]
+        frac = frac[:, None]
+        gamma, h = cfg.params(ramp(frac)) if ramp else cfg.params_at(frac)
+        return np.broadcast_arrays(h - c, gamma * s)
 
     return fn
 

@@ -90,18 +90,18 @@ def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedu
         raise ValueError(f"total time must be positive, got T={T}")
     if eps == 0:
         raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
-    th_i, th_f = math.atan2(x_i, eps), math.atan2(x_f, eps)
-    # a short arc is kept as is: the wrap's fmod arithmetic can move it by an ulp
-    if abs(th_f - th_i) > math.pi:
-        th_f = float(_short_arc(th_i, th_f))
+    th_i = math.atan2(x_i, eps)
+    th_f = float(_short_arc(th_i, math.atan2(x_f, eps)))
     return Schedule(float(T), th_i, th_f, float(eps), 0.0)
 
 
 def _short_arc(th_i, th_f):
-    """th_f moved by a multiple of 2 pi so that th_f - th_i lies in (-pi, pi]."""
+    """th_f on the short arc from th_i: an arc longer than pi has th_f moved
+    by a multiple of 2 pi into th_i + (-pi, pi]; a shorter arc is kept as is,
+    because the wrap's fmod arithmetic can move its th_f by an ulp."""
     w = np.fmod(th_f - th_i + math.pi, 2 * math.pi)
     w = np.where(w <= 0, w + 2 * math.pi, w)
-    return th_i + (w - math.pi)
+    return np.where(np.abs(th_f - th_i) > math.pi, th_i + (w - math.pi), th_f)
 
 
 def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float):

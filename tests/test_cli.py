@@ -243,6 +243,27 @@ class TestFitCommand:
         assert float(rows[0]["exponent"]) == pytest.approx(0.5, abs=1e-9)
         assert float(rows[0]["r_squared"]) > 0.999999
 
+    def test_fit_keeps_kick_trains_apart(self, tmp_path):
+        """Rows of one strategy with different kick counts are fitted apart:
+        2 kicks at n = 3 r^0.5 and 6 kicks at n = 5 r^1.0."""
+        src = tmp_path / "defects.csv"
+        with open(src, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect"])
+            for kicks, amp, power in ((2, 3.0, 0.5), (6, 5.0, 1.0)):
+                for r in np.logspace(-3, -1, 9):
+                    writer.writerow([repr(float(r)), "geojump", "ising", kicks, 0.001,
+                                     repr(float(amp * r**power))])
+        report = tmp_path / "report.csv"
+        assert cli.main(["fit", "--input", str(src), "--window", "1e-4", "1.0",
+                         "-o", str(report)]) == 0
+        rows = read_csv(report)
+        assert list(rows[0]) == ["regime", "strategy", "kicks", "pulse_width", "exponent",
+                                 "r_squared", "window_min", "window_max"]
+        assert [(r["kicks"], r["pulse_width"]) for r in rows] == [("2", "0.001"), ("6", "0.001")]
+        assert float(rows[0]["exponent"]) == pytest.approx(0.5, abs=1e-9)
+        assert float(rows[1]["exponent"]) == pytest.approx(1.0, abs=1e-9)
+
     def test_fit_missing_columns_rejected(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("a,b\n1,2\n")
@@ -343,6 +364,37 @@ class TestInputChecks:
         assert code == 2
         assert "h = cos(k)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+_RUN_ARGS = {"lz": ["--T", "1.0", "--dt", "1e-2"],
+             "chain": ["--spins", "8", "--dt", "1e-2", "--rates", "1"],
+             "sweep": ["--spins", "8", "--dt", "1e-2", "--rates", "1"],
+             "fit": ["--input", "table.csv", "--window", "0.1", "10"]}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", ["lz", "chain", "sweep", "fit"])
+    def test_manifest_lists_every_parser_setting(self, command, tmp_path, monkeypatch):
+        """The resolved settings are the subcommand parser's destinations,
+        less help and config, each once."""
+        (tmp_path / "table.csv").write_text("rate,n_defect\n0.5,0.1\n1.0,0.2\n2.0,0.35\n")
+        out = tmp_path / "out.csv"
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, *_RUN_ARGS[command], "-o", str(out)]) == 0
+        lines = (tmp_path / "out.csv.manifest.txt").read_text().splitlines()[1:]
+        parser = cli.build_parser().parse_args([command]).parser
+        dests = {a.dest for a in parser._actions} - {"help", "config"}
+        assert [line.split(" = ")[0] for line in lines] == sorted(dests)
+
+    def test_flag_overrides_a_config_list(self, tmp_path):
+        """A flag given on the command line replaces the file's list."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"strategy": ["lin", "geo"]}))
+        args = ["sweep", "--strategy", "lin", "--spins", "8", "--dt", "1e-3",
+                "--rates", "0.5", "1"]
+        assert cli.main(args + ["--config", str(cfg), "-o", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(args + ["-o", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestExitCodes:

@@ -277,8 +277,8 @@ class TestCollectiveRamp:
     def test_endpoints(self):
         cfg = ising_cfg(2.0, 1e-3, Strategy.GEO, n_spins=64)
         ramp = collective_geodesic_ramp(cfg)
-        assert ramp.value(0.0) == pytest.approx(10.0, abs=1e-6)
-        assert ramp.value(2.0) == pytest.approx(0.0, abs=1e-6)
+        assert ramp(0.0 / cfg.T) == pytest.approx(10.0, abs=1e-6)
+        assert ramp(2.0 / cfg.T) == pytest.approx(0.0, abs=1e-6)
 
     def test_constant_total_metric_speed(self):
         """sqrt(sum_k g_k) * |dh/dt| is constant along the tabulated ramp.
@@ -294,13 +294,30 @@ class TestCollectiveRamp:
         eps = 1e-3
         speeds = []
         for t in np.linspace(0.05, 0.95, 13):
-            h = float(ramp.value(t))
-            dh = (float(ramp.value(t + eps)) - float(ramp.value(t - eps))) / (2 * eps)
+            h = float(ramp(t / cfg.T))
+            dh = (float(ramp((t + eps) / cfg.T)) - float(ramp((t - eps) / cfg.T))) / (2 * eps)
             a = h - c
             g = (0.25 * s**2 / (a * a + s * s) ** 2).sum()
             speeds.append(np.sqrt(g) * abs(dh))
         speeds = np.array(speeds)
         assert np.ptp(speeds) / speeds.mean() < 0.05
+
+    @pytest.mark.parametrize("regime,gamma,h", [
+        (Regime.ISING, (1.0, 1.0), (10.0, 0.0)),
+        (Regime.ISING, (1.0, 1.0), (0.0, 2.0)),
+        (Regime.GAPLESS, (-1.0, 1.0), (1.0, 1.0)),
+        (Regime.ANISOTROPY, (1.0, -1.0), (0.5, 0.5)),
+    ], ids=["ising-down", "ising-up", "gapless", "anisotropy-down"])
+    def test_runs_monotone_from_p_i_to_p_f(self, regime, gamma, h):
+        """On every line the ramp starts at p_i, ends at p_f and moves
+        strictly towards p_f in between, whichever way the control runs."""
+        cfg = ChainConfig(n_spins=64, regime=regime, gamma_i=gamma[0], gamma_f=gamma[1],
+                          h_i=h[0], h_f=h[1], T=2.0, dt=1e-3, strategy=Strategy.GEO)
+        ramp = collective_geodesic_ramp(cfg)
+        p_i, p_f = cfg.control
+        assert ramp(0.0) == p_i and ramp(1.0) == p_f
+        steps = np.diff(ramp(np.linspace(0.0, 1.0, 1001)))
+        assert np.all(steps * np.sign(p_f - p_i) > 0)
 
     def test_err_tracking_shapes(self):
         cfg = ising_cfg(1.0, 1e-3, Strategy.GEO_JUMP, nkicks=5, n_spins=32)

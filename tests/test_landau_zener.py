@@ -153,8 +153,9 @@ class TestEvolve:
 
 
 def loop_reference(cfg):
-    """Fidelity, phase factor and adiabaticity error at every node from a
-    per-step loop: one expm_herm2 and one exact segment integral per step.
+    """Fidelity, phase factor and adiabaticity error at every node, and the
+    final state, from a per-step loop: one expm_herm2 and one exact segment
+    integral per step, starting in eig2's ground state at x_i.
 
     The generator of each step follows the documented sampling rules:
     midpoint-sampled field or angle for the continuous strategies; for a
@@ -163,13 +164,10 @@ def loop_reference(cfg):
     envelope at the step midpoint.
     """
     n, dt = cfg.n_steps, cfg.dt_eff
-    if cfg.strategy is Strategy.LIN:
-        _, _, psi, _ = eig2(lz_hamiltonian(cfg.x_i, cfg.eps))
-        _, _, target, _ = eig2(lz_hamiltonian(cfg.x_f, cfg.eps))
-    else:
+    _, _, psi, _ = eig2(lz_hamiltonian(cfg.x_i, cfg.eps))
+    _, _, target, _ = eig2(lz_hamiltonian(cfg.x_f, cfg.eps))
+    if cfg.strategy is not Strategy.LIN:
         sched = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps, cfg.T)
-        psi = np.array([np.cos(sched.theta_i / 2), np.sin(sched.theta_i / 2)], dtype=complex)
-        target = np.array([np.cos(sched.theta_f / 2), np.sin(sched.theta_f / 2)], dtype=complex)
     gen = np.zeros((n, 2))  # (dx, dz) per step
     for s in range(n):
         tmid = (s + 0.5) * dt
@@ -201,7 +199,7 @@ def loop_reference(cfg):
         phase_re.append(np.cos(phase))
         phase_im.append(np.sin(phase))
         err.append(abs(integral))
-    return np.array(fid), np.array(phase_re), np.array(phase_im), np.array(err)
+    return np.array(fid), np.array(phase_re), np.array(phase_im), np.array(err), psi
 
 
 class TestAgainstStepLoop:
@@ -215,12 +213,13 @@ class TestAgainstStepLoop:
         T, dt = 0.5, 1e-4
         cfg = cfg_for(strategy, T, dt, nkicks=10, width=width * dt if width else None)
         traj = evolve_lz(cfg)
-        fid, ph_re, ph_im, err = loop_reference(cfg)
+        fid, ph_re, ph_im, err, psi = loop_reference(cfg)
         assert len(fid) == len(traj.fidelity) == 5001
         assert np.abs(traj.fidelity - fid).max() < 1e-12
         assert np.abs(traj.phase_diff_re - ph_re).max() < 1e-12
         assert np.abs(traj.phase_diff_im - ph_im).max() < 1e-12
         assert np.abs(traj.err - err).max() < 1e-12
+        assert abs(np.vdot(psi, traj.final_state)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAdiabaticError:

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from quenchsim.freefermion import ChainConfig, Regime
+from quenchsim.freefermion import ChainConfig, Regime, momentum_grid
 from quenchsim.landau_zener import LZConfig
 from quenchsim.schedules import (
     Control,
     Strategy,
+    _xy_geodesic_angles,
     kick_train,
     lz_geodesic_schedule,
     xy_geodesic_schedule,
@@ -113,6 +114,22 @@ class TestXYGeodesicSchedule:
         assert np.all(np.isfinite(vals))
         assert np.abs(vals).max() <= 1.0 + 1e-9
         assert s.value(0.5) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("h,gamma_i,gamma_f", [
+        (0.5, -1.0, 1.0), (-0.3, 0.2, 1.5), (1.0, -1.0, 1.0),
+    ], ids=["anisotropy", "anisotropy-negative-h", "gapless"])
+    def test_short_arcs_end_on_the_final_mixing_angle(self, h, gamma_i, gamma_f):
+        """Where the endpoints lie at most pi apart, theta_f is math.atan2 of
+        the final (d, a) bit for bit: the wrap touches only long arcs."""
+        ks = momentum_grid(250)
+        s, c = np.sin(ks), np.cos(ks)
+        th_i, th_f = _xy_geodesic_angles(ks, Control.ANISOTROPY, gamma_i, gamma_f, h)
+        want_i = np.array([math.atan2(gamma_i * sk, h - ck) for sk, ck in zip(s, c)])
+        want_f = np.array([math.atan2(gamma_f * sk, h - ck) for sk, ck in zip(s, c)])
+        short = np.abs(want_f - want_i) <= math.pi
+        assert np.count_nonzero(short) >= len(ks) // 2
+        assert th_f[short].tobytes() == want_f[short].tobytes()
+        assert th_i.tobytes() == want_i.tobytes()
 
     def test_theta_monotone(self):
         s = xy_geodesic_schedule(1.0, Control.FIELD, 10.0, 0.0, 1.0, 1.0)
