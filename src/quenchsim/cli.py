@@ -19,10 +19,11 @@ settings (and the manifest's keys) are every destination of that parser.
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
 are reduced in submission order, and floats are written with shortest
 round-trip repr, so identical configs produce byte-identical files for any
-worker count.  Output files are written to a temporary file in the target
-directory and renamed into place, so an interrupted run leaves no partial
-file at the destination; a manifest listing the fully resolved configuration
-is written next to each output.
+worker count.  Every output's directory is checked before any work starts.
+Output files are written to a temporary file in the target directory and
+renamed into place, so an interrupted run leaves no partial file at the
+destination; a manifest listing the fully resolved configuration is written
+next to each output.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ def _fmt(v) -> str:
 def _write_atomically(path: str, write) -> None:
     """write(fh) into a temporary file in the target directory, then rename
     it into place, so an interrupted run leaves no partial file at path."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             write(fh)
@@ -176,11 +179,10 @@ def _resolve_workers(spec) -> int:
 
 def _run_lz(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
-    T, dt, kicks = cfg["T"], cfg["dt"], cfg["kicks"]
     traj = evolve_lz(LZConfig(
-        eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=T, dt=dt,
+        eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=cfg["T"], dt=cfg["dt"],
         strategy=Strategy(cfg["strategy"]),
-        kicks=kick_train(kicks, T, cfg["pulse_width"] or dt) if kicks else None,
+        kicks=kick_train(cfg["kicks"], cfg["pulse_width"] or cfg["dt"]) if cfg["kicks"] else None,
     ))
     rows = zip(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
                traj.phase_diff_im, traj.err)
@@ -210,13 +212,12 @@ def _chain_cells(cfg: dict, combos: list[tuple], rates: list[float]) -> list[tup
     h = cfg["h"] or _REGIME_DEFAULTS[regime][1]
     cells = []
     for strategy, kicks, width in combos:
+        train = kick_train(kicks, width or cfg["dt"]) if kicks else None
         for rate in rates:
-            T = 1.0 / rate
             cells.append((rate, ChainConfig(
                 n_spins=int(cfg["spins"]), regime=regime,
                 gamma_i=gamma[0], gamma_f=gamma[1], h_i=h[0], h_f=h[1],
-                T=T, dt=cfg["dt"], strategy=Strategy(strategy),
-                kicks=kick_train(kicks, T, width or cfg["dt"]) if kicks else None,
+                T=1.0 / rate, dt=cfg["dt"], strategy=Strategy(strategy), kicks=train,
                 collective_geodesic=not cfg["per_mode_geodesic"],
             )))
     return cells
@@ -281,8 +282,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if modes_out:
-        mode_rows = [(k, p, e) for (k, p), e in zip(result.pk.items(), err)]
-        _atomic_write(modes_out, ["k", "p_k", "err_k"], mode_rows)
+        _atomic_write(modes_out, ["k", "p_k", "err_k"], zip(result.ks, result.pk, err))
         _write_manifest(modes_out, resolved)
         written.append(modes_out)
     print(f"wrote {', '.join(written)} ({len(rows)} rows)")
@@ -404,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         if ns.config:
             _config_defaults(ns)
             ns = parser.parse_args(argv)
+        for path in (ns.out, getattr(ns, "modes_out", "")):
+            if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise ValueError(f"cannot write {path}: no such directory")
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,16 @@ contains no time variable, so excitation probabilities are then strictly
 independent of the quench rate.
 
 Every driving is a path sampler (a, d)(lambda) over the scaled time
-lambda = t/T, plus, for kicked runs, the steps that KickTrain.layout puts the
-pulses in.  One loop, evolve_modes, runs them all on the quaternion kernel of
-su2, which the Landau-Zener engine shares: its rows are every grid step of a
-continuous drive or the layout's entries of a kicked one, reduced by a
-time-ordered tree product per chunk of rows.  The adiabaticity error is
-summed from su2._err_terms over the same rows; the frozen stretch before a
-kicked row that does not follow its predecessor, and after the last one, is
-a segment with no phase growth.  Per-(mode, rate) work is pure and can be
-farmed out to worker processes with an ordered reduction.
+lambda = t/T, plus, for kicked runs, the steps that Run.layout puts the
+pulses in; the run is the only holder of T.  One loop, evolve_modes, runs
+them all on the quaternion kernel of su2, which the Landau-Zener engine
+shares: its rows are every grid step of a continuous drive or the layout's
+entries of a kicked one, reduced by a time-ordered tree product per chunk of
+rows.  The adiabaticity error is summed from su2._err_terms over the same
+rows; the frozen stretch before a kicked row that does not follow its
+predecessor, and after the last one, is a segment with no phase growth.
+Per-(mode, rate) work is pure and can be farmed out to worker processes
+with an ordered reduction.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -87,10 +88,7 @@ def excitation_prob(
 
 def defect_density(pk) -> float:
     """n = (1/N) sum_k p_k over the positive-k grid (= mean(p_k)/2)."""
-    if isinstance(pk, Mapping):
-        vals = np.array(list(pk.values()), dtype=float)
-    else:
-        vals = np.asarray(pk, dtype=float)
+    vals = np.asarray(pk, dtype=float)
     if vals.size == 0:
         raise ValueError("empty excitation-probability grid")
     return float(vals.mean() / 2.0)
@@ -172,11 +170,11 @@ class ChainConfig(Run):
 
 @dataclass
 class DefectResult:
-    """Excitation probabilities per mode and their defect density."""
+    """Excitation probability pk[m] of each mode ks[m], and their defect density."""
 
-    pk: dict
+    ks: np.ndarray
+    pk: np.ndarray
     n_defect: float
-    rate: float
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
     """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
 
     The rows are every grid step of a continuous drive, or the entries of
-    the kick layout (KickTrain.layout), each sampled on the drive's path at
+    the kick layout (Run.layout), each sampled on the drive's path at
     its scaled time and acting for its own area.  Single-sample kicks
     thereby reduce to the ordered SU(2) kick product, with no dependence on
     T.  Between kicked rows the generator vanishes: the phase is frozen
@@ -275,7 +273,7 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
     dlam = dt / cfg.T
     n_rows = cfg.n_steps
     if cfg.kicks is not None:
-        idx, lam, area = cfg.kicks.layout(cfg.dt, cfg.n_steps)
+        idx, lam, area = cfg.layout()
         n_rows = len(idx)
         # frozen stretches: one before each row that does not follow its
         # predecessor, and one after the last row
@@ -349,9 +347,4 @@ def run_chain(cfg: ChainConfig, track_err: bool = False):
     e_f = np.stack([-np.sin(th_ff / 2), np.cos(th_ff / 2)], axis=1).astype(complex)
     amp = np.einsum("mi,mij,mj->m", e_f.conj(), U, g_i)
     pk = np.minimum(np.abs(amp) ** 2, 1.0)
-    result = DefectResult(
-        pk={float(k): float(p) for k, p in zip(ks, pk)},
-        n_defect=defect_density(pk),
-        rate=1.0 / cfg.T,
-    )
-    return result, err
+    return DefectResult(ks, pk, defect_density(pk)), err

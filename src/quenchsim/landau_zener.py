@@ -8,10 +8,10 @@ strategy drives the unit Bloch direction (sin theta, 0, cos theta)/2 with
 theta affine in time; the kicked-geodesic strategy multiplies the *unit*
 direction n(theta).sigma by the square-pulse envelope of a KickTrain, so each
 area-pi/2 pulse is a pi rotation about the instantaneous axis and shifts the
-dynamical phase difference between the two levels by exactly pi.  The kicked
-steps, their angles and their areas come from KickTrain.layout, the rule the
-chain uses too; between pulses the generator vanishes and the state is
-frozen.
+dynamical phase difference between the two levels by exactly pi.  The run
+holds T; the kicked steps, their angles and their areas come from Run.layout,
+the rule the chain uses too; between pulses the generator vanishes and the
+state is frozen.
 
 Time stepping is piecewise-constant with midpoint-sampled parameters and the
 closed-form step propagator, on the same quaternion kernel as the chain
@@ -82,7 +82,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     measured against the ground state of H(x_f); both come from the closed
     form of the module docstring.
 
-    Kicked steps come from KickTrain.layout: step idx carries amplitude
+    Kicked steps come from Run.layout: step idx carries amplitude
     area/dt_eff at the angle of its scaled time lam.  Single-sample kicks
     (pulse width at most the requested step cfg.dt, at every T) deposit
     the whole pi/2 area in the step holding each kick, at the angle of
@@ -106,13 +106,12 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         x = cfg.x_i + (cfg.x_f - cfg.x_i) * times / cfg.T
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        th = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps, cfg.T).theta(tmid)
+        th = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps).theta(tmid / cfg.T)
         dx, dz = np.sin(th) / 2, np.cos(th) / 2
         gap = np.ones(n + 1)
     else:
-        idx, lam, area = cfg.kicks.layout(cfg.dt, n)
-        sched = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps, cfg.T)
-        amp, th = area / dt, sched.theta_i + (sched.theta_f - sched.theta_i) * lam
+        idx, lam, area = cfg.layout()
+        amp, th = area / dt, lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps).theta(lam)
         dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
         dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp
 

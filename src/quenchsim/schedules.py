@@ -1,10 +1,10 @@
 """Control paths for the three driving strategies.
 
-A Schedule is the geodesic path of one control parameter over [0, T]: the
-mixing angle theta is affine in time (constant Fubini-Study speed) and the
-tan-relation is inverted pointwise,
+A Schedule is the geodesic path of one control parameter over the scaled
+time frac = t/T in [0, 1]: the mixing angle theta is affine in frac
+(constant Fubini-Study speed) and the tan-relation is inverted pointwise,
 
-    value(t) = offset + scale * tan(theta(t)),   theta affine in t.
+    value(frac) = offset + scale * tan(theta(frac)),   theta affine in frac.
 
 Linear ramps need no object: the engines interpolate the control directly.
 Geodesic angle endpoints are always computed with the two-argument arctangent
@@ -14,11 +14,12 @@ branch jumps; the interpolation then follows the short great-circle arc.
 A KickTrain holds the square-pulse envelope of the kicked-geodesic strategy:
 n equally spaced pulses of width delta_t and amplitude pi/(2*delta_t), i.e.
 unit pulse area pi/2, starting at lambda_j = (2j-1)/(2n) of the scaled time
-axis.  KickTrain.layout is the one rule that places the pulses on a step
-grid; both engines take their kicked steps from it.
+axis.
 
-Run is the field-less base of both engines' configs: their step grid and
-the checks on T, dt, strategy and kicks that every run shares.
+Run is the field-less base of both engines' configs and the only holder of
+the total time T: their step grid, the checks on T, dt, strategy and kicks
+that every run shares, and Run.layout, the one rule that places the pulses
+on the step grid; both engines take their kicked steps from it.
 """
 
 from __future__ import annotations
@@ -54,45 +55,41 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)  # elementwise math.atan2
 
 @dataclass(frozen=True)
 class Schedule:
-    """A geodesic control path on [0, T].
+    """A geodesic control path over the scaled time frac in [0, 1].
 
     (theta_i, theta_f) span the affine mixing-angle path and (scale, offset)
     invert it back to the control value.  theta_f is stored as the continuous
-    continuation of theta_i (short arc), so theta(t) is monotone and
-    tan(theta(t)) never crosses a pole for valid inputs.
+    continuation of theta_i (short arc), so theta(frac) is monotone and
+    tan(theta(frac)) never crosses a pole for valid inputs.
     """
 
-    T: float
     theta_i: float
     theta_f: float
     scale: float
     offset: float
 
-    def theta(self, t):
-        """Mixing angle at time t; accepts scalars or arrays."""
-        frac = np.asarray(t, dtype=float) / self.T
-        return self.theta_i + (self.theta_f - self.theta_i) * frac
+    def theta(self, frac):
+        """Mixing angle at scaled time frac; accepts scalars or arrays."""
+        return self.theta_i + (self.theta_f - self.theta_i) * np.asarray(frac, dtype=float)
 
-    def value(self, t):
-        """Control value at time t; accepts scalars or arrays."""
-        return self.offset + self.scale * np.tan(self.theta(t))
+    def value(self, frac):
+        """Control value at scaled time frac; accepts scalars or arrays."""
+        return self.offset + self.scale * np.tan(self.theta(frac))
 
 
-def lz_geodesic_schedule(x_i: float, x_f: float, eps: float, T: float) -> Schedule:
+def lz_geodesic_schedule(x_i: float, x_f: float, eps: float) -> Schedule:
     """Constant-FS-speed path for the two-level sweep field.
 
     theta endpoints are atan2(x, eps) (equal to arctan(x/eps) for eps > 0) and
-    x(t) = eps * tan(theta(t)).  For eps < 0 the endpoints can lie more than
+    x = eps * tan(theta).  For eps < 0 the endpoints can lie more than
     pi apart; theta_f is then moved onto the short arc (through theta = pi),
-    so the sweep mirrors the one at -eps and tan(theta(t)) crosses no pole.
+    so the sweep mirrors the one at -eps and tan(theta) crosses no pole.
     """
-    if T <= 0:
-        raise ValueError(f"total time must be positive, got T={T}")
     if eps == 0:
         raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
     th_i = math.atan2(x_i, eps)
     th_f = float(_short_arc(th_i, math.atan2(x_f, eps)))
-    return Schedule(float(T), th_i, th_f, float(eps), 0.0)
+    return Schedule(th_i, th_f, float(eps), 0.0)
 
 
 def _short_arc(th_i, th_f):
@@ -140,52 +137,90 @@ def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float)
     return th_i, th_f
 
 
-def xy_geodesic_schedule(
-    k: float,
-    mode: Control,
-    p_i: float,
-    p_f: float,
-    fixed: float,
-    T: float,
-) -> Schedule:
-    """Per-mode geodesic for the chain: mixing angle affine in t for mode k
-    (angle conventions in _xy_geodesic_angles)."""
-    if T <= 0:
-        raise ValueError(f"total time must be positive, got T={T}")
+def xy_geodesic_schedule(k: float, mode: Control, p_i: float, p_f: float,
+                         fixed: float) -> Schedule:
+    """Per-mode geodesic for the chain: mixing angle affine in the scaled
+    time for mode k (angle conventions in _xy_geodesic_angles)."""
     th_i, th_f = _xy_geodesic_angles([k], mode, p_i, p_f, fixed)
     s, c = math.sin(k), math.cos(k)
     scale, offset = ((fixed - c) / s, 0.0) if mode is Control.ANISOTROPY else (s, c)
-    return Schedule(float(T), float(th_i[0]), float(th_f[0]), scale, offset)
+    return Schedule(float(th_i[0]), float(th_f[0]), scale, offset)
 
 
 @dataclass(frozen=True)
 class KickTrain:
-    """Square-pulse envelope: n_kicks pulses of width delta_t starting at
-    kick_times[j] = (2j-1)/(2 n_kicks) * T, each of area exactly pi/2."""
+    """Square-pulse envelope: n_kicks pulses of width delta_t, each of area
+    exactly pi/2, starting at the scaled times lam; a Run puts them on its T."""
 
     n_kicks: int
-    T: float
     delta_t: float
-    amplitude: float
-    kick_times: np.ndarray
+
+    @property
+    def amplitude(self) -> float:
+        return math.pi / (2 * self.delta_t)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """lambda_j = (2j-1)/(2 n_kicks), j = 1..n_kicks."""
+        return (2 * np.arange(1, self.n_kicks + 1) - 1) / (2 * self.n_kicks)
+
+
+class Run:
+    """Field-less base of ChainConfig and LZConfig: the step grid, the
+    placement of the pulses on it, and the checks every run shares.  A
+    subclass holds the fields T, dt, strategy and kicks and calls
+    super().__post_init__() before its own checks."""
 
     def __post_init__(self):
-        object.__setattr__(self, "kick_times", np.asarray(self.kick_times, dtype=float))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.T <= 0 or self.dt <= 0:
+            raise ValueError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
+        if not math.isfinite(self.T / self.dt):
+            raise ValueError(f"dt={self.dt} is too small: T/dt overflows for T={self.T}")
+        if self.kicks is None:
+            if self.strategy is Strategy.GEO_JUMP:
+                raise ValueError("geojump strategy requires kicks >= 1")
+            return
+        if self.strategy is not Strategy.GEO_JUMP:
+            raise ValueError(f"kicks conflict with strategy {self.strategy.value}")
+        n, width, slack = self.kicks.n_kicks, self.kicks.delta_t, 1e-9 * self.T
+        if n > 1 and self.T / n < width - slack:
+            raise ValueError(f"pulses overlap: spacing T/n = {self.T / n} < delta_t = {width}")
+        if self.kick_times[-1] + width > self.T + slack:
+            raise ValueError(f"last pulse runs past T: t_n + delta_t = "
+                             f"{self.kick_times[-1] + width} > T = {self.T}")
+        self.layout()  # rejects two kicks in one step
 
-    def single_sample(self, dt: float, dt_eff: float) -> bool:
-        """True when the pulses act as single-sample kicks on a run with
-        requested step dt and actual step dt_eff = T / round(T / dt).
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.T / self.dt)))
 
-        A pulse no wider than the requested step is a kick, whichever way
+    @property
+    def dt_eff(self) -> float:
+        """Actual step: [0, T] divided into n_steps equal pieces."""
+        return self.T / self.n_steps
+
+    @property
+    def kick_times(self) -> np.ndarray:
+        """Start t_j = lambda_j * T of each pulse."""
+        return self.kicks.lam * self.T
+
+    @property
+    def single_sample(self) -> bool:
+        """True when the pulses act as single-sample kicks.
+
+        A pulse no wider than the requested step dt is a kick, whichever way
         T/dt rounds: a width-dt train must not change path because dt_eff
         came out slightly below dt.  Pulses no wider than dt_eff (T/dt
         rounded down) stay kicks too.
         """
-        return self.delta_t <= max(dt, dt_eff) * (1 + 1e-9)
+        return self.kicks.delta_t <= max(self.dt, self.dt_eff) * (1 + 1e-9)
 
-    def layout(self, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where the pulses act on n_steps equal steps of dt_eff = T/n_steps,
-        for a run with requested step dt.
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the pulses act on the n_steps equal steps of dt_eff.
 
         Returns (idx, lam, area) with one entry per step a pulse acts in, in
         time order: the step index, the scaled time at which the drive is
@@ -197,76 +232,29 @@ class KickTrain:
         midpoints, each with area amplitude * dt_eff.  Two kicks in one step
         raise ValueError.
         """
-        dt_eff = self.T / n_steps
-        if self.single_sample(dt, dt_eff):
+        kicks, n_steps, dt_eff, times = self.kicks, self.n_steps, self.dt_eff, self.kick_times
+        if self.single_sample:
             # kick times within 1e-9 steps of a grid node are snapped up to it
-            idx = np.minimum(np.floor(self.kick_times / dt_eff + 1e-9).astype(int), n_steps - 1)
-            lam = (2 * np.arange(1, self.n_kicks + 1) - 1) / (2 * self.n_kicks)
-            area = np.full(self.n_kicks, np.pi / 2)
+            idx = np.minimum(np.floor(times / dt_eff + 1e-9).astype(int), n_steps - 1)
+            lam = kicks.lam
+            area = np.full(kicks.n_kicks, np.pi / 2)
         else:
-            i0 = np.maximum(np.ceil(self.kick_times / dt_eff - 0.5).astype(int), 0)
-            i1 = np.ceil((self.kick_times + self.delta_t) / dt_eff - 0.5).astype(int)
+            i0 = np.maximum(np.ceil(times / dt_eff - 0.5).astype(int), 0)
+            i1 = np.ceil((times + kicks.delta_t) / dt_eff - 0.5).astype(int)
             idx = np.concatenate([np.arange(a, b) for a, b in zip(i0, np.minimum(i1, n_steps))])
             lam = (idx + 0.5) * dt_eff / self.T
-            area = np.full(len(idx), self.amplitude * dt_eff)
+            area = np.full(len(idx), kicks.amplitude * dt_eff)
         if np.any(np.diff(idx) <= 0):
-            raise ValueError(f"n_kicks={self.n_kicks} pulses of width delta_t={self.delta_t} "
-                             f"put two kicks in one step of dt={dt}")
+            raise ValueError(f"n_kicks={kicks.n_kicks} pulses of width delta_t={kicks.delta_t} "
+                             f"put two kicks in one step of dt={self.dt}")
         return idx, lam, area
 
 
-class Run:
-    """Field-less base of ChainConfig and LZConfig: the step grid and the
-    checks every run shares.  A subclass holds the fields T, dt, strategy
-    and kicks and calls super().__post_init__() before its own checks."""
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.T <= 0 or self.dt <= 0:
-            raise ValueError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
-        if self.kicks is None:
-            if self.strategy is Strategy.GEO_JUMP:
-                raise ValueError("geojump strategy requires kicks >= 1")
-            return
-        if self.strategy is not Strategy.GEO_JUMP:
-            raise ValueError(f"kicks conflict with strategy {self.strategy.value}")
-        if abs(self.kicks.T - self.T) > 1e-9 * self.T:
-            raise ValueError(f"kick train spans T={self.kicks.T}, run spans T={self.T}")
-        self.kicks.layout(self.dt, self.n_steps)  # rejects two kicks in one step
-
-    @property
-    def n_steps(self) -> int:
-        return max(1, int(round(self.T / self.dt)))
-
-    @property
-    def dt_eff(self) -> float:
-        """Actual step: [0, T] divided into n_steps equal pieces."""
-        return self.T / self.n_steps
-
-
-def kick_train(n_kicks: int, T: float, delta_t: float) -> KickTrain:
-    """Build the pulse train; rejects overlapping pulses and pulses that
-    run past the end of the evolution (t_n + delta_t must not exceed T)."""
+def kick_train(n_kicks: int, delta_t: float) -> KickTrain:
+    """Build the pulse train; the run it drives rejects overlapping pulses
+    and pulses that run past its end (t_n + delta_t must not exceed T)."""
     if n_kicks < 1 or int(n_kicks) != n_kicks:
         raise ValueError(f"n_kicks must be a positive integer, got {n_kicks}")
-    n_kicks = int(n_kicks)
-    if not 0 < T < math.inf:
-        raise ValueError(f"total time must be positive and finite, got T={T}")
     if not 0 < delta_t < math.inf:
         raise ValueError(f"pulse width must be positive and finite, got delta_t={delta_t}")
-    lam = (2 * np.arange(1, n_kicks + 1) - 1) / (2 * n_kicks)
-    times = lam * T
-    slack = 1e-9 * T
-    if n_kicks > 1 and T / n_kicks < delta_t - slack:
-        raise ValueError(
-            f"pulses overlap: spacing T/n = {T / n_kicks} < delta_t = {delta_t}"
-        )
-    if times[-1] + delta_t > T + slack:
-        raise ValueError(
-            f"last pulse runs past T: t_n + delta_t = {times[-1] + delta_t} > T = {T}"
-        )
-    return KickTrain(n_kicks, float(T), float(delta_t), math.pi / (2 * delta_t), times)
-
+    return KickTrain(int(n_kicks), float(delta_t))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ class TestParsing:
         code = cli.main(["lz", "--config", str(cfg), "--dt", "2e-3", "-o", str(out)])
         assert code == 0
         manifest = (str(out) + ".manifest.txt")
-        text = open(manifest).read()
+        text = Path(manifest).read_text()
         assert "dt = 0.002" in text
         assert "T = 1.0" in text
 
@@ -350,6 +351,18 @@ class TestInputChecks:
         assert "two kicks in one step" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command", ["lz", "chain"])
+    def test_overflowing_step_count_exits_2_before_evolving(self, command, tmp_path,
+                                                             capsys, monkeypatch):
+        """dt = 1e-320 makes T/dt overflow to inf; building the run rejects it."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        args = ["--spins", "4", "--rates", "1"] if command == "chain" else []
+        code = cli.main([command, "--dt", "1e-320", *args, "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: dt=1e-320 is too small: T/dt overflows for T=1.0\n"
+
     @pytest.mark.parametrize("command", ["chain", "sweep"])
     def test_mode_on_h_equal_cos_k_exits_2_before_any_run(self, command, tmp_path,
                                                            capsys, monkeypatch):
@@ -427,3 +440,30 @@ class TestExitCodes:
         out = tmp_path / "no-such-dir" / "traj.csv"
         assert cli.main(["lz", "--T", "1.0", "--dt", "1e-2", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_directory_is_named_as_given(self, tmp_path, capsys, monkeypatch):
+        """Two identical runs print the same message, naming the path as given."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        errs = []
+        for _ in range(2):
+            assert cli.main(["lz", "--T", "1.0", "--dt", "1e-2", "-o", "no/traj.csv"]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == "error: cannot write no/traj.csv: no such directory\n"
+
+    def test_missing_modes_out_directory_fails_before_any_work(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        code = cli.main(["chain", "--spins", "8", "--rates", "1", "--dt", "1e-2",
+                         "-o", "ok.csv", "--modes-out", "no/modes.csv"])
+        assert code == 2
+        assert "no/modes.csv" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_temporary_file_names_the_requested_path(self, tmp_path, monkeypatch):
+        """Should creating the temporary file still fail, the error names the
+        requested path, not the random temporary name."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError, match="^cannot write no/x.csv: No such file or directory$"):
+            cli._write_atomically("no/x.csv", lambda fh: None)
