@@ -17,9 +17,7 @@ from .freefermion import (
 )
 from .landau_zener import LZConfig, Trajectory, evolve_lz
 from .schedules import (
-    Control,
     KickTrain,
-    Schedule,
     Strategy,
     kick_train,
     lz_geodesic_schedule,
@@ -28,8 +26,8 @@ from .schedules import (
 
 __all__ = [
     "__version__",
-    "ChainConfig", "Control", "DefectResult", "KickTrain", "LZConfig",
-    "Regime", "ScalingFit", "Schedule", "Strategy", "Trajectory",
+    "ChainConfig", "DefectResult", "KickTrain", "LZConfig",
+    "Regime", "ScalingFit", "Strategy", "Trajectory",
     "defect_density", "evolve_lz", "evolve_mode_kicks_exact", "evolve_modes",
     "excitation_prob", "fit_power_law", "kick_pk_leading_order", "kick_train",
     "kz_exponent", "lz_geodesic_schedule", "momentum_grid", "run_chain",

@@ -8,6 +8,7 @@ n ~ tau_Q^(-alpha) that slope is +alpha, the positive decay exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +40,20 @@ def fit_power_law(points, window: tuple[float, float]) -> ScalingFit:
     """Ordinary least squares of log(n) on log(rate) over points strictly
     inside the window.
 
-    points: iterable of (rate, n) pairs, all strictly positive.  Input order
-    does not affect the result (points are sorted before fitting).
+    points: iterable of (rate, n) pairs, all positive and finite.  Input
+    order does not affect the result (points are sorted before fitting).
     """
     pts = sorted((float(r), float(n)) for r, n in points)
+    bad = [pt for pt in pts if not all(0 < v < math.inf for v in pt)]
+    if bad:
+        raise ValueError(f"rates and defect densities must be positive and finite "
+                         f"for a log-log fit, got {bad[0]}")
     lo, hi = float(window[0]), float(window[1])
     sel = [(r, n) for r, n in pts if lo < r < hi]
     if len(sel) < 3:
         raise ValueError(f"need at least 3 points strictly inside {window}, got {len(sel)}")
     rates = np.array([r for r, _ in sel])
     ns = np.array([n for _, n in sel])
-    if np.any(rates <= 0) or np.any(ns <= 0):
-        raise ValueError("rates and defect densities must be positive for a log-log fit")
     lx, ly = np.log(rates), np.log(ns)
     xbar, ybar = lx.mean(), ly.mean()
     sxx = np.sum((lx - xbar) ** 2)

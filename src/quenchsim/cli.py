@@ -167,9 +167,12 @@ def _settings(ns: argparse.Namespace) -> dict:
 def _resolve_workers(spec) -> int:
     if spec in (None, "auto"):
         return os.cpu_count() or 1
-    n = int(spec)
+    try:
+        n = int(spec)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError(f"workers must be >= 1, got {n}")
+        raise ValueError(f"workers must be an integer >= 1 or 'auto', got {spec!r}")
     return n
 
 
@@ -239,8 +242,7 @@ def _defect_task(cell: tuple, track_err: bool = False) -> tuple:
 _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect"]
 
 
-def _run_cells(cfg: dict, cells: list[tuple]) -> list[tuple]:
-    workers = _resolve_workers(cfg["workers"])
+def _run_cells(cells: list[tuple], workers: int) -> list[tuple]:
     if workers == 1 or len(cells) == 1:
         results = [_defect_task(c) for c in cells]
     else:
@@ -262,6 +264,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     modes_out = cfg.get("modes_out")
     if modes_out and len(rates) != 1:
         raise ValueError("--modes-out requires exactly one rate")
+    workers = _resolve_workers(cfg["workers"])
     if sweep:
         combos = [(s, nk, w) for s in cfg["strategy"]
                   for nk in (cfg["kicks"] if s == Strategy.GEO_JUMP else [0])
@@ -275,7 +278,7 @@ def _run_table(ns: argparse.Namespace) -> int:
         row, result, err = _defect_task(cells[0], track_err=True)
         rows = [row]
     else:
-        rows = _run_cells(cfg, cells)
+        rows = _run_cells(cells, workers)
     _atomic_write(cfg["out"], _SWEEP_HEADER, rows)
     resolved = dict(cfg)
     resolved["rates"] = [float(r) for r in rates]
@@ -300,16 +303,22 @@ def _run_fit(ns: argparse.Namespace) -> int:
     if cfg["window"] is None:
         raise ValueError("fit requires --window MIN MAX")
     lo, hi = cfg["window"]
-    columns = ("regime", "strategy", "kicks", "pulse_width")
+    path, columns = cfg["input"], ("regime", "strategy", "kicks", "pulse_width")
     groups: dict[tuple[str, ...], list[tuple[float, float]]] = {}
-    with open(cfg["input"], newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "rate" not in reader.fieldnames \
                 or "n_defect" not in reader.fieldnames:
-            raise ValueError(f"{cfg['input']}: need columns 'rate' and 'n_defect'")
+            raise ValueError(f"{path}: need columns 'rate' and 'n_defect'")
         for rec in reader:
-            key = tuple(rec.get(col, "") for col in columns)
-            groups.setdefault(key, []).append((float(rec["rate"]), float(rec["n_defect"])))
+            try:
+                point = (float(rec["rate"]), float(rec["n_defect"]))
+            except (TypeError, ValueError):  # a short row reads None
+                raise ValueError(f"{path}:{reader.line_num}: need numbers for rate and "
+                                 f"n_defect, got {rec['rate']!r}, {rec['n_defect']!r}") from None
+            groups.setdefault(tuple(rec.get(col, "") for col in columns), []).append(point)
+    if not groups:
+        raise ValueError(f"{path}: no data rows")
     rows = []
     for key in sorted(groups):
         fit = fit_power_law(groups[key], (lo, hi))

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .schedules import Control, KickTrain, Run, Strategy, _xy_geodesic_angles
+from .schedules import KickTrain, Run, Strategy, xy_geodesic_schedule
 from .su2 import _CHUNK, _err_terms, _ordered_product, _quat_identity, _quat_mul
 from .su2 import _quat_steps, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
@@ -213,8 +213,7 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
 
 def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode affine angle endpoints (theta_i, theta_f) for geodesic paths."""
-    mode, fixed = (Control.FIELD, cfg.gamma_i) if cfg.varies_h else (Control.ANISOTROPY, cfg.h_i)
-    return _xy_geodesic_angles(ks, mode, *cfg.control, fixed)
+    return xy_geodesic_schedule(ks, cfg.varies_h, *cfg.control, cfg.h_i)
 
 
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:

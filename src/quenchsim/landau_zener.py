@@ -106,12 +106,14 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         x = cfg.x_i + (cfg.x_f - cfg.x_i) * times / cfg.T
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        th = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps).theta(tmid / cfg.T)
+        th_i, th_f = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
+        th = th_i + (th_f - th_i) * (tmid / cfg.T)
         dx, dz = np.sin(th) / 2, np.cos(th) / 2
         gap = np.ones(n + 1)
     else:
         idx, lam, area = cfg.layout()
-        amp, th = area / dt, lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps).theta(lam)
+        th_i, th_f = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
+        amp, th = area / dt, th_i + (th_f - th_i) * lam
         dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
         dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp
 

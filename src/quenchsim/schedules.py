@@ -1,15 +1,12 @@
 """Control paths for the three driving strategies.
 
-A Schedule is the geodesic path of one control parameter over the scaled
-time frac = t/T in [0, 1]: the mixing angle theta is affine in frac
-(constant Fubini-Study speed) and the tan-relation is inverted pointwise,
-
-    value(frac) = offset + scale * tan(theta(frac)),   theta affine in frac.
-
 Linear ramps need no object: the engines interpolate the control directly.
-Geodesic angle endpoints are always computed with the two-argument arctangent
-so that paths whose diagonal Hamiltonian component changes sign do not pick up
-branch jumps; the interpolation then follows the short great-circle arc.
+A geodesic moves the mixing angle theta affinely in the scaled time
+frac = t/T in [0, 1], at constant Fubini-Study speed.  Every geodesic, the
+two-level sweep's and each chain mode's on either line, takes its endpoints
+from one rule: theta_i = atan2(y_i, x), and atan2(y_f, x) moved onto the short
+great-circle arc from theta_i, so a path whose diagonal component x changes
+sign picks up no branch jump and tan(theta) crosses no pole.
 
 A KickTrain holds the square-pulse envelope of the kicked-geodesic strategy:
 n equally spaced pulses of width delta_t and amplitude pi/(2*delta_t), i.e.
@@ -40,56 +37,10 @@ class Strategy(str, enum.Enum):
     GEO_JUMP = "geojump"
 
 
-class Control(str, enum.Enum):
-    """Which physical parameter the schedule drives."""
-
-    ANISOTROPY = "gamma"
-    FIELD = "h"         # transverse field
-
-
 # absolute floor below which sin(k) is treated as zero (k at 0 or pi)
 _SINK_TOL = 1e-12
 
 _atan2 = np.frompyfunc(math.atan2, 2, 1)  # elementwise math.atan2
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """A geodesic control path over the scaled time frac in [0, 1].
-
-    (theta_i, theta_f) span the affine mixing-angle path and (scale, offset)
-    invert it back to the control value.  theta_f is stored as the continuous
-    continuation of theta_i (short arc), so theta(frac) is monotone and
-    tan(theta(frac)) never crosses a pole for valid inputs.
-    """
-
-    theta_i: float
-    theta_f: float
-    scale: float
-    offset: float
-
-    def theta(self, frac):
-        """Mixing angle at scaled time frac; accepts scalars or arrays."""
-        return self.theta_i + (self.theta_f - self.theta_i) * np.asarray(frac, dtype=float)
-
-    def value(self, frac):
-        """Control value at scaled time frac; accepts scalars or arrays."""
-        return self.offset + self.scale * np.tan(self.theta(frac))
-
-
-def lz_geodesic_schedule(x_i: float, x_f: float, eps: float) -> Schedule:
-    """Constant-FS-speed path for the two-level sweep field.
-
-    theta endpoints are atan2(x, eps) (equal to arctan(x/eps) for eps > 0) and
-    x = eps * tan(theta).  For eps < 0 the endpoints can lie more than
-    pi apart; theta_f is then moved onto the short arc (through theta = pi),
-    so the sweep mirrors the one at -eps and tan(theta) crosses no pole.
-    """
-    if eps == 0:
-        raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
-    th_i = math.atan2(x_i, eps)
-    th_f = float(_short_arc(th_i, math.atan2(x_f, eps)))
-    return Schedule(th_i, th_f, float(eps), 0.0)
 
 
 def _short_arc(th_i, th_f):
@@ -101,16 +52,38 @@ def _short_arc(th_i, th_f):
     return np.where(np.abs(th_f - th_i) > math.pi, th_i + (w - math.pi), th_f)
 
 
-def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float):
+def _geodesic_angles(y_i, y_f, x):
+    """(theta_i, theta_f) float arrays by the module's rule.  math.atan2 is
+    applied per element: numpy's arctan2 differs from it in the last place
+    on some inputs."""
+    th_i = np.asarray(_atan2(y_i, x), dtype=float)
+    return th_i, _short_arc(th_i, np.asarray(_atan2(y_f, x), dtype=float))
+
+
+def lz_geodesic_schedule(x_i: float, x_f: float, eps: float) -> tuple[float, float]:
+    """Angle endpoints (theta_i, theta_f) of the constant-FS-speed path of
+    the two-level sweep field, x = eps * tan(theta).
+
+    theta_i = atan2(x_i, eps) (equal to arctan(x_i/eps) for eps > 0).  For
+    eps < 0 the endpoints can lie more than pi apart; theta_f is then moved
+    onto the short arc (through theta = pi), so the sweep mirrors the one at
+    -eps and tan(theta) crosses no pole.
+    """
+    if eps == 0:
+        raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
+    th_i, th_f = _geodesic_angles(x_i, x_f, eps)
+    return float(th_i), float(th_f)
+
+
+def xy_geodesic_schedule(ks, varies_h: bool, p_i: float, p_f: float, fixed: float):
     """Per-mode geodesic angle endpoints (theta_i, theta_f), arrays over ks.
 
-    mode=ANISOTROPY varies gamma at fixed h using tan(theta) = gamma sin k / (h - cos k);
-    mode=FIELD varies h at fixed gamma using tan(theta) = (h - cos k) / sin k.
-    The two conventions are reciprocal; each is the natural one for its sweep
-    (the FIELD form stays pole-free when h crosses cos k).  Under ANISOTROPY
-    theta_f continues theta_i along the short great-circle arc, which keeps
-    tan(theta(t)) continuous when h - cos k < 0.  math.atan2 is applied per
-    element: numpy's arctan2 differs from it in the last place on some inputs.
+    varies_h=False varies gamma at fixed h using tan(theta) = gamma sin k / (h - cos k);
+    varies_h=True varies h at fixed gamma using tan(theta) = (h - cos k) / sin k,
+    and does not read fixed.  The two conventions are reciprocal; each is the
+    natural one for its sweep (the field form stays pole-free when h crosses
+    cos k).  theta_f continues theta_i along the short great-circle arc,
+    which keeps tan(theta(t)) continuous when h - cos k < 0.
     """
     ks = np.asarray(ks, dtype=float)
     s, c = np.sin(ks), np.cos(ks)
@@ -118,33 +91,15 @@ def _xy_geodesic_angles(ks, mode: Control, p_i: float, p_f: float, fixed: float)
     if np.any(bad):
         k = float(ks[np.argmax(bad)])
         raise ValueError(f"k={k} has sin(k)=0; modes at 0 or pi carry no coupling")
-    if mode is Control.ANISOTROPY:
-        a = fixed - c  # fixed = h
-        bad = np.abs(a) < 1e-12
-        if np.any(bad):
-            raise ValueError(
-                f"h = cos(k) = {float(c[np.argmax(bad)])}: anisotropy mixing angle undefined"
-            )
-        y_i, y_f, x = p_i * s, p_f * s, a
-    elif mode is Control.FIELD:
-        y_i, y_f, x = p_i - c, p_f - c, s
-    else:
-        raise ValueError(f"unsupported geodesic mode: {mode}")
-    th_i = _atan2(y_i, x).astype(float)
-    th_f = _atan2(y_f, x).astype(float)
-    if mode is Control.ANISOTROPY:
-        th_f = _short_arc(th_i, th_f)
-    return th_i, th_f
-
-
-def xy_geodesic_schedule(k: float, mode: Control, p_i: float, p_f: float,
-                         fixed: float) -> Schedule:
-    """Per-mode geodesic for the chain: mixing angle affine in the scaled
-    time for mode k (angle conventions in _xy_geodesic_angles)."""
-    th_i, th_f = _xy_geodesic_angles([k], mode, p_i, p_f, fixed)
-    s, c = math.sin(k), math.cos(k)
-    scale, offset = ((fixed - c) / s, 0.0) if mode is Control.ANISOTROPY else (s, c)
-    return Schedule(float(th_i[0]), float(th_f[0]), scale, offset)
+    if varies_h:
+        return _geodesic_angles(p_i - c, p_f - c, s)
+    a = fixed - c  # fixed = h
+    bad = np.abs(a) < 1e-12
+    if np.any(bad):
+        raise ValueError(
+            f"h = cos(k) = {float(c[np.argmax(bad)])}: anisotropy mixing angle undefined"
+        )
+    return _geodesic_angles(p_i * s, p_f * s, a)
 
 
 @dataclass(frozen=True)

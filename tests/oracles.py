@@ -182,6 +182,15 @@ def fs_metric_gamma(k: float, gamma: float, h: float) -> float:
     return 0.25 * (s * a) ** 2 / (e2 * e2)
 
 
+def fs_metric_h(k: float, gamma: float, h: float) -> float:
+    """Fubini-Study metric component for the field direction:
+    g = (1/4) (d theta / d h)^2 = (1/4) (gamma sin k)^2 / E^4
+    with E^2 = (h - cos k)^2 + (gamma sin k)^2."""
+    d = gamma * math.sin(k)
+    e2 = (h - math.cos(k)) ** 2 + d * d
+    return 0.25 * d * d / (e2 * e2)
+
+
 # ---------------------------------------------------------------------------
 # Landau-Zener sweep: H(x) = (x X + eps Z)/2
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from quenchsim.analysis import fit_power_law, kick_pk_leading_order, kz_exponent
 from quenchsim.freefermion import (
     ChainConfig,
     Regime,
+    _bloch_components,
     defect_density,
     evolve_mode_kicks_exact,
     evolve_modes,
@@ -26,7 +27,7 @@ from quenchsim.freefermion import (
     run_chain,
 )
 from quenchsim.landau_zener import LZConfig, evolve_lz
-from quenchsim.schedules import Control, Strategy, kick_train, xy_geodesic_schedule
+from quenchsim.schedules import Strategy, kick_train
 
 from oracles import (
     Herm2,
@@ -35,6 +36,7 @@ from oracles import (
     expm_herm2,
     fidelity,
     fs_metric_gamma,
+    fs_metric_h,
     ground_excited,
 )
 
@@ -290,7 +292,7 @@ class TestCriterion10PropertySuites:
                 surv = abs(np.vdot(g_f, U[i] @ g_i)) ** 2
                 assert p + surv == pytest.approx(1.0, abs=1e-12)
 
-        # metric against the overlap finite difference
+        # metric against the overlap finite difference, along gamma and along h
         for _ in range(20):
             k = rng.uniform(0.2, np.pi - 0.2)
             gamma, h = rng.uniform(-2, 2), rng.uniform(-2, 2)
@@ -302,15 +304,20 @@ class TestCriterion10PropertySuites:
             ds2 = 1 - fidelity(g1, g2)
             assert fs_metric_gamma(k, gamma, h) == pytest.approx(
                 ds2 / step**2, abs=1e-6, rel=1e-5)
+            g1, _ = ground_excited(k, gamma, h - step / 2)
+            g2, _ = ground_excited(k, gamma, h + step / 2)
+            ds2 = 1 - fidelity(g1, g2)
+            assert fs_metric_h(k, gamma, h) == pytest.approx(ds2 / step**2, abs=1e-6, rel=1e-5)
 
-        # geodesic constant speed (closed-form schedule)
-        sched = xy_geodesic_schedule(np.pi / 2, Control.ANISOTROPY, -1.0, 1.0, 0.5)
+        # geodesic constant speed, on the mode path the chain engine samples
+        cfg = ChainConfig(4, Regime.ANISOTROPY, -1.0, 1.0, 0.5, 0.5, 1.0, 1e-3,
+                          strategy=Strategy.GEO, collective_geodesic=False)
+        path = _bloch_components(cfg, np.array([np.pi / 2]))
+        gamma_at = lambda t: path(t)[1][:, 0]  # d = gamma sin k, sin k = 1
         eps = 1e-7
-        speeds = []
-        for t in np.linspace(0.1, 0.9, 9):  # T = 1: t is also the scaled time
-            dgdt = (sched.value(t + eps) - sched.value(t - eps)) / (2 * eps)
-            speeds.append(fs_metric_gamma(np.pi / 2, float(sched.value(t)), 0.5) * dgdt**2)
-        speeds = np.array(speeds)
+        ts = np.linspace(0.1, 0.9, 9)  # T = 1: t is also the scaled time
+        dgdt = (gamma_at(ts + eps) - gamma_at(ts - eps)) / (2 * eps)
+        speeds = np.array([fs_metric_gamma(np.pi / 2, g, 0.5) for g in gamma_at(ts)]) * dgdt**2
         assert np.ptp(speeds) / speeds.mean() < 1e-6
 
         elapsed = time.time() - start

@@ -72,8 +72,13 @@ class TestFitPowerLaw:
             fit_power_law(pts[:4], (0.1, 0.25))  # only 1 point remains
 
     def test_rejects_nonpositive_values(self):
+        """Non-positive and non-finite values fail; a NaN rate must not
+        drop out of the window unnoticed."""
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fit_power_law([(0.1, 1.0), (0.2, bad), (0.3, 1.0)], (0.01, 1.0))
         with pytest.raises(ValueError):
-            fit_power_law([(0.1, 1.0), (0.2, -1.0), (0.3, 1.0)], (0.01, 1.0))
+            fit_power_law([(math.nan, 1.0), (0.1, 1.0), (0.2, 2.0), (0.3, 3.0)], (0.01, 1.0))
 
 
 class TestKickLeadingOrder:

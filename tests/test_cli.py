@@ -275,6 +275,21 @@ class TestFitCommand:
         src.write_text("rate,n_defect\n0.1,0.2\n0.2,0.3\n0.4,0.4\n")
         assert cli.main(["fit", "--input", str(src)]) == 2
 
+    @pytest.mark.parametrize("table,message", [
+        ("rate,n_defect\n1\n", "t.csv:2: need numbers for rate and n_defect, got '1', None"),
+        ("rate,n_defect\n0.5,0.1\n1,abc\n",
+         "t.csv:3: need numbers for rate and n_defect, got '1', 'abc'"),
+        ("rate,n_defect\n", "t.csv: no data rows"),
+        ("rate,n_defect\n1,nan\n2,0.1\n3,0.2\n4,0.3\n", "must be positive and finite"),
+        ("rate,n_defect\n1,inf\n2,0.1\n3,0.2\n4,0.3\n", "must be positive and finite"),
+    ], ids=["short-row", "not-a-number", "header-only", "nan", "inf"])
+    def test_malformed_table_exits_2(self, table, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text(table)
+        assert cli.main(["fit", "--input", "t.csv", "--window", "0.1", "10"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fit_report.csv").exists()
+
 
 def _fail(*args, **kwargs):
     raise AssertionError("reached after input validation should have failed")
@@ -350,6 +365,22 @@ class TestInputChecks:
         assert code == 2
         assert "two kicks in one step" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "-3"])
+    @pytest.mark.parametrize("modes_out", [[], ["--modes-out", "m.csv"]],
+                             ids=["table", "modes-out"])
+    def test_bad_worker_count_exits_2_before_evolving(self, workers, modes_out, tmp_path,
+                                                      capsys, monkeypatch):
+        """--workers is checked on every chain path, --modes-out included,
+        and the message names the flag."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        code = cli.main(["chain", "--rates", "1", "--spins", "8", "--dt", "1e-2",
+                         "--workers", workers, *modes_out, "-o", "a.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: workers must be an integer >= 1 or 'auto', got '{workers}'\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["lz", "chain"])
     def test_overflowing_step_count_exits_2_before_evolving(self, command, tmp_path,

@@ -16,7 +16,7 @@ from quenchsim.freefermion import (
     momentum_grid,
     run_chain,
 )
-from quenchsim.schedules import Control, Strategy, kick_train, xy_geodesic_schedule
+from quenchsim.schedules import Strategy, kick_train, xy_geodesic_schedule
 
 from oracles import (
     IDENT,
@@ -329,11 +329,11 @@ def kick_err_loop(cfg, ks):
     width = dt / T
     out = []
     for k in ks:
-        sched = xy_geodesic_schedule(k, Control.FIELD, cfg.h_i, cfg.h_f, cfg.gamma_i)
+        (th_i,), (th_f,) = xy_geodesic_schedule([k], True, cfg.h_i, cfg.h_f, cfg.gamma_i)
         phase, integral, prev_end = 0.0, 0.0j, 0.0
         for j, t0 in enumerate(cfg.kick_times):
             lam_j = (2 * j + 1) / (2 * kt.n_kicks)
-            th = sched.theta_i + (sched.theta_f - sched.theta_i) * lam_j
+            th = th_i + (th_f - th_i) * lam_j
             dphi = -2.0 * np.pi * math.hypot(math.sin(k) * math.tan(th), cfg.gamma_i * math.sin(k))
             start = min(math.floor(t0 / dt + 1e-9), cfg.n_steps - 1) * dt / T
             integral += np.exp(1j * phase) * (start - prev_end)

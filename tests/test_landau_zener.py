@@ -163,25 +163,26 @@ def loop_reference(cfg):
     _, _, psi, _ = eig2(lz_hamiltonian(cfg.x_i, cfg.eps))
     _, _, target, _ = eig2(lz_hamiltonian(cfg.x_f, cfg.eps))
     if cfg.strategy is not Strategy.LIN:
-        sched = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
+        th_i, th_f = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
+        theta = lambda frac: th_i + (th_f - th_i) * frac
     gen = np.zeros((n, 2))  # (dx, dz) per step
     for s in range(n):
         tmid = (s + 0.5) * dt
         if cfg.strategy is Strategy.LIN:
             gen[s] = (cfg.x_i + (cfg.x_f - cfg.x_i) * tmid / cfg.T) / 2, cfg.eps / 2
         elif cfg.strategy is Strategy.GEO:
-            th = sched.theta(tmid / cfg.T)
+            th = theta(tmid / cfg.T)
             gen[s] = np.sin(th) / 2, np.cos(th) / 2
     kt = cfg.kicks
     if kt is not None and kt.delta_t <= cfg.dt * (1 + 1e-9):
         for t0 in cfg.kick_times:
-            th = sched.theta(t0 / cfg.T)
+            th = theta(t0 / cfg.T)
             gen[int(np.floor(t0 / dt + 1e-9))] = np.array([np.sin(th), np.cos(th)]) * np.pi / (2 * dt)
     elif kt is not None:
         for s in range(n):
             tmid = (s + 0.5) * dt
             if any(t0 <= tmid < t0 + kt.delta_t for t0 in cfg.kick_times):
-                th = sched.theta(tmid / cfg.T)
+                th = theta(tmid / cfg.T)
                 gen[s] = np.array([np.sin(th), np.cos(th)]) * kt.amplitude
     fid, phase_re, phase_im, err = [abs(np.vdot(target, psi)) ** 2], [1.0], [0.0], [0.0]
     phase, integral = 0.0, 0.0j

@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from quenchsim.freefermion import ChainConfig, Regime, momentum_grid
+from quenchsim.freefermion import ChainConfig, Regime, _bloch_components, momentum_grid
 from quenchsim.landau_zener import LZConfig
 from quenchsim.schedules import (
-    Control,
     Strategy,
-    _xy_geodesic_angles,
     kick_train,
     lz_geodesic_schedule,
     xy_geodesic_schedule,
 )
 
-from oracles import fs_metric_gamma
+from oracles import fs_metric_gamma, fs_metric_h
+
+FIELD_LINES = [(10.0, 0.0), (1.0, 1.1), (-3.0, 2.0)]
 
 
 def ising(h_i, h_f, T, dt=1e-3, **kw):
@@ -26,6 +26,25 @@ def ising(h_i, h_f, T, dt=1e-3, **kw):
 def kicked(n_kicks, width, T=1.0):
     """An Ising run of total time T driven by n_kicks pulses of the width."""
     return ising(10.0, 0.0, T, strategy=Strategy.GEO_JUMP, kicks=kick_train(n_kicks, width))
+
+
+def mode_geodesic(regime, gamma, h):
+    """A run on per-mode geodesics from (gamma[0], h[0]) to (gamma[1], h[1])."""
+    return ChainConfig(4, regime, *gamma, *h, 1.0, 1e-3, strategy=Strategy.GEO,
+                       collective_geodesic=False)
+
+
+def mode_params(cfg, k, frac):
+    """(gamma, h) arrays that the chain engine's sampler puts on mode k at
+    the scaled times frac: H_k = -2 (a Z + d X), a = h - cos k, d = gamma sin k."""
+    a, d = _bloch_components(cfg, np.array([k]))(np.atleast_1d(np.asarray(frac, dtype=float)))
+    return d[:, 0] / math.sin(k), a[:, 0] + math.cos(k)
+
+
+def lz_field(x_i, x_f, eps, frac):
+    """Sweep field x = eps tan(theta) on the geodesic at the scaled times frac."""
+    th_i, th_f = lz_geodesic_schedule(x_i, x_f, eps)
+    return eps * np.tan(th_i + (th_f - th_i) * np.asarray(frac, dtype=float))
 
 
 class TestLinearSchedule:
@@ -52,22 +71,21 @@ class TestLinearSchedule:
 class TestLZGeodesicSchedule:
     def test_theta_endpoint_value(self):
         """theta_i = arctan(-100) for x_i=-10, eps=0.1."""
-        s = lz_geodesic_schedule(-10.0, 10.0, 0.1)
-        assert s.theta_i == pytest.approx(math.atan(-100.0), abs=1e-15)
-        assert s.theta_i == pytest.approx(-1.5607966601082315, abs=1e-12)
+        th_i, _ = lz_geodesic_schedule(-10.0, 10.0, 0.1)
+        assert th_i == pytest.approx(math.atan(-100.0), abs=1e-15)
+        assert th_i == pytest.approx(-1.5607966601082315, abs=1e-12)
 
     def test_antisymmetric_endpoints_cross_zero(self):
         """x_i = -x_f puts the effective field at zero at T/2."""
         T = 2.0
-        s = lz_geodesic_schedule(-10.0, 10.0, 0.1)
-        assert s.value(1.0 / T) == pytest.approx(0.0, abs=1e-9)
-        assert s.value(0.0 / T) == pytest.approx(-10.0, abs=1e-9)
-        assert s.value(2.0 / T) == pytest.approx(10.0, abs=1e-9)
+        x = lambda t: lz_field(-10.0, 10.0, 0.1, t / T)
+        assert x(1.0) == pytest.approx(0.0, abs=1e-9)
+        assert x(0.0) == pytest.approx(-10.0, abs=1e-9)
+        assert x(2.0) == pytest.approx(10.0, abs=1e-9)
 
     def test_constant_path_when_endpoints_match(self):
-        s = lz_geodesic_schedule(3.0, 3.0, 0.1)
         t = np.linspace(0, 1, 11)
-        assert np.allclose(s.value(t), 3.0)
+        assert np.allclose(lz_field(3.0, 3.0, 0.1, t), 3.0)
 
     def test_rejects_zero_eps(self):
         with pytest.raises(ValueError):
@@ -78,48 +96,52 @@ class TestLZGeodesicSchedule:
         than pi apart; the path takes the short arc through theta = -pi
         (x = 0), so x(t) runs monotonically from -10 to 10 and crosses no
         tan pole."""
-        s = lz_geodesic_schedule(-10.0, 10.0, -0.1)
-        assert abs(s.theta_f - s.theta_i) <= math.pi
-        x = s.value(np.linspace(0.0, 1.0, 10001))
+        th_i, th_f = lz_geodesic_schedule(-10.0, 10.0, -0.1)
+        assert abs(th_f - th_i) <= math.pi
+        x = lz_field(-10.0, 10.0, -0.1, np.linspace(0.0, 1.0, 10001))
         assert np.all(np.diff(x) > 0)
         assert x[0] == pytest.approx(-10.0, abs=1e-9)
         assert x[-1] == pytest.approx(10.0, abs=1e-9)
-        assert s.value(0.5) == pytest.approx(0.0, abs=1e-9)
+        assert lz_field(-10.0, 10.0, -0.1, 0.5) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestXYGeodesicSchedule:
     def test_vary_gamma_symmetric_endpoints(self):
         """theta_i = -pi/4, theta_f = +pi/4 gives gamma = 0 at T/2."""
         # k=pi/2, h fixed so a = -cos(k) + h = 0.5 - 0 = 0.5; gamma = +-0.5 -> theta = atan2(+-0.5, 0.5)
-        s = xy_geodesic_schedule(np.pi / 2, Control.ANISOTROPY, -0.5, 0.5, 0.5)
-        assert s.theta_i == pytest.approx(-np.pi / 4)
-        assert s.theta_f == pytest.approx(np.pi / 4)
-        assert s.value(0.5) == pytest.approx(0.0, abs=1e-12)
+        th_i, th_f = xy_geodesic_schedule([np.pi / 2], False, -0.5, 0.5, 0.5)
+        assert th_i[0] == pytest.approx(-np.pi / 4)
+        assert th_f[0] == pytest.approx(np.pi / 4)
+        cfg = mode_geodesic(Regime.ANISOTROPY, (-0.5, 0.5), (0.5, 0.5))
+        assert mode_params(cfg, np.pi / 2, 0.5)[0][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_vary_gamma_endpoints_against_atan2(self):
         """k=pi/2, h=0.5, gamma -1 -> 1: endpoints from direct evaluation."""
-        s = xy_geodesic_schedule(np.pi / 2, Control.ANISOTROPY, -1.0, 1.0, 0.5)
-        assert s.theta_i == pytest.approx(math.atan2(-1.0, 0.5))
-        assert s.theta_f == pytest.approx(math.atan2(1.0, 0.5))
-        assert s.value(0.0) == pytest.approx(-1.0, abs=1e-9)
-        assert s.value(1.0) == pytest.approx(1.0, abs=1e-9)
+        th_i, th_f = xy_geodesic_schedule([np.pi / 2], False, -1.0, 1.0, 0.5)
+        assert th_i[0] == pytest.approx(math.atan2(-1.0, 0.5))
+        assert th_f[0] == pytest.approx(math.atan2(1.0, 0.5))
+        cfg = mode_geodesic(Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5))
+        gamma, _ = mode_params(cfg, np.pi / 2, [0.0, 1.0])
+        assert gamma[0] == pytest.approx(-1.0, abs=1e-9)
+        assert gamma[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_vary_h_tan_relation(self):
         """k=pi/2, h_i=10 gives tan(theta_i) = 10."""
-        s = xy_geodesic_schedule(np.pi / 2, Control.FIELD, 10.0, 0.0, 1.0)
-        assert math.tan(s.theta_i) == pytest.approx(10.0)
-        assert s.value(0.0) == pytest.approx(10.0, abs=1e-9)
-        assert s.value(1.0) == pytest.approx(0.0, abs=1e-9)
+        th_i, _ = xy_geodesic_schedule([np.pi / 2], True, 10.0, 0.0, 1.0)
+        assert math.tan(th_i[0]) == pytest.approx(10.0)
+        _, h = mode_params(ising(10.0, 0.0, 1.0, strategy=Strategy.GEO, collective_geodesic=False),
+                           np.pi / 2, [0.0, 1.0])
+        assert h[0] == pytest.approx(10.0, abs=1e-9)
+        assert h[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_short_arc_when_diagonal_negative(self):
         """With a < 0 the path wraps through pi, keeping gamma(t) bounded."""
         k = np.pi / 5  # cos k ~ 0.81 > h = 0.5 -> a < 0
-        s = xy_geodesic_schedule(k, Control.ANISOTROPY, -1.0, 1.0, 0.5)
-        t = np.linspace(0, 1, 201)
-        vals = s.value(t)
+        cfg = mode_geodesic(Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5))
+        vals, _ = mode_params(cfg, k, np.linspace(0, 1, 201))
         assert np.all(np.isfinite(vals))
         assert np.abs(vals).max() <= 1.0 + 1e-9
-        assert s.value(0.5) == pytest.approx(0.0, abs=1e-9)
+        assert mode_params(cfg, k, 0.5)[0][0] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("h,gamma_i,gamma_f", [
         (0.5, -1.0, 1.0), (-0.3, 0.2, 1.5), (1.0, -1.0, 1.0),
@@ -129,7 +151,7 @@ class TestXYGeodesicSchedule:
         the final (d, a) bit for bit: the wrap touches only long arcs."""
         ks = momentum_grid(250)
         s, c = np.sin(ks), np.cos(ks)
-        th_i, th_f = _xy_geodesic_angles(ks, Control.ANISOTROPY, gamma_i, gamma_f, h)
+        th_i, th_f = xy_geodesic_schedule(ks, False, gamma_i, gamma_f, h)
         want_i = np.array([math.atan2(gamma_i * sk, h - ck) for sk, ck in zip(s, c)])
         want_f = np.array([math.atan2(gamma_f * sk, h - ck) for sk, ck in zip(s, c)])
         short = np.abs(want_f - want_i) <= math.pi
@@ -137,34 +159,62 @@ class TestXYGeodesicSchedule:
         assert th_f[short].tobytes() == want_f[short].tobytes()
         assert th_i.tobytes() == want_i.tobytes()
 
+    @pytest.mark.parametrize("h_i,h_f", FIELD_LINES)
+    def test_field_line_angles_are_atan2(self, h_i, h_f):
+        """On the field line both endpoints are math.atan2(h - cos k, sin k)
+        bit for bit: with sin k > 0 they lie in (-pi/2, pi/2), so the short
+        arc never moves theta_f."""
+        ks = momentum_grid(250)
+        s, c = np.sin(ks), np.cos(ks)
+        th_i, th_f = xy_geodesic_schedule(ks, True, h_i, h_f, 1.0)
+        want_i = np.array([math.atan2(h_i - ck, sk) for sk, ck in zip(s, c)])
+        want_f = np.array([math.atan2(h_f - ck, sk) for sk, ck in zip(s, c)])
+        assert th_i.tobytes() == want_i.tobytes()
+        assert th_f.tobytes() == want_f.tobytes()
+
     def test_theta_monotone(self):
-        s = xy_geodesic_schedule(1.0, Control.FIELD, 10.0, 0.0, 1.0)
-        th = s.theta(np.linspace(0, 1, 50))
+        """The sampled field-line angle atan2(a, sin k) falls at every step."""
+        cfg = ising(10.0, 0.0, 1.0, strategy=Strategy.GEO, collective_geodesic=False)
+        _, h = mode_params(cfg, 1.0, np.linspace(0, 1, 50))
+        th = np.arctan2(h - math.cos(1.0), math.sin(1.0))
         assert np.all(np.diff(th) < 0)
 
     def test_rejects_k_at_zone_boundary(self):
         with pytest.raises(ValueError):
-            xy_geodesic_schedule(0.0, Control.FIELD, 10.0, 0.0, 1.0)
+            xy_geodesic_schedule([0.0], True, 10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            xy_geodesic_schedule(np.pi, Control.ANISOTROPY, -1.0, 1.0, 0.5)
+            xy_geodesic_schedule([np.pi], False, -1.0, 1.0, 0.5)
 
     def test_rejects_h_equal_cos_k(self):
         with pytest.raises(ValueError):
-            xy_geodesic_schedule(np.pi / 3, Control.ANISOTROPY, -1.0, 1.0, 0.5)
+            xy_geodesic_schedule([np.pi / 3], False, -1.0, 1.0, 0.5)
 
 
 class TestGeodesicConstancy:
+    """The Fubini-Study speed g (dp/dt)^2 of the varying control p is
+    constant along every mode geodesic the chain engine samples."""
+
+    @staticmethod
+    def speeds(cfg, k, metric, ts, eps=1e-7):
+        # T = 1: t is also the scaled time
+        p = lambda t: mode_params(cfg, k, t)[1 if cfg.varies_h else 0]
+        dpdt = (p(ts + eps) - p(ts - eps)) / (2 * eps)
+        gamma, h = mode_params(cfg, k, ts)
+        return np.array([metric(k, g, hh) for g, hh in zip(gamma, h)]) * dpdt**2
+
     def test_metric_speed_constant_along_path(self):
         """g * (dgamma/dt)^2 is constant along a mode geodesic to 1e-6 rel."""
-        k, h = np.pi / 2, 0.5
-        s = xy_geodesic_schedule(k, Control.ANISOTROPY, -1.0, 1.0, h)
-        ts = np.linspace(0.05, 0.95, 19)
-        eps = 1e-7
-        speeds = []
-        for t in ts:
-            dgdt = (s.value(t + eps) - s.value(t - eps)) / (2 * eps)
-            speeds.append(fs_metric_gamma(k, float(s.value(t)), h) * dgdt**2)
-        speeds = np.array(speeds)
+        cfg = mode_geodesic(Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5))
+        speeds = self.speeds(cfg, np.pi / 2, fs_metric_gamma, np.linspace(0.05, 0.95, 19))
+        assert np.ptp(speeds) / speeds.mean() < 1e-6
+
+    @pytest.mark.parametrize("h_i,h_f", FIELD_LINES)
+    @pytest.mark.parametrize("k", [0.3, np.pi / 2, 2.5])
+    def test_field_line_speed_constant(self, k, h_i, h_f):
+        """g_h * (dh/dt)^2 is constant along the Ising per-mode geodesic,
+        the path that kicks sample, to 1e-6 rel."""
+        cfg = ising(h_i, h_f, 1.0, strategy=Strategy.GEO, collective_geodesic=False)
+        speeds = self.speeds(cfg, k, fs_metric_h, np.linspace(0.05, 0.95, 19))
         assert np.ptp(speeds) / speeds.mean() < 1e-6
 
 
