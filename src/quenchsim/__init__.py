@@ -3,13 +3,12 @@ kicked-geodesic driving, for two-level sweeps and free-fermion spin chains."""
 
 __version__ = "0.1.0"
 
-from .analysis import ScalingFit, fit_power_law, kick_pk_leading_order, kz_exponent
+from .analysis import ScalingFit, fit_power_law
 from .freefermion import (
     ChainConfig,
     DefectResult,
     Regime,
     defect_density,
-    evolve_mode_kicks_exact,
     evolve_modes,
     excitation_prob,
     momentum_grid,
@@ -28,8 +27,7 @@ __all__ = [
     "__version__",
     "ChainConfig", "DefectResult", "KickTrain", "LZConfig",
     "Regime", "ScalingFit", "Strategy", "Trajectory",
-    "defect_density", "evolve_lz", "evolve_mode_kicks_exact", "evolve_modes",
-    "excitation_prob", "fit_power_law", "kick_pk_leading_order", "kick_train",
-    "kz_exponent", "lz_geodesic_schedule", "momentum_grid", "run_chain",
-    "xy_geodesic_schedule",
+    "defect_density", "evolve_lz", "evolve_modes", "excitation_prob",
+    "fit_power_law", "kick_train", "lz_geodesic_schedule", "momentum_grid",
+    "run_chain", "xy_geodesic_schedule",
 ]

@@ -89,6 +89,13 @@ def _write_manifest(out_path: str, resolved: dict) -> str:
     return path
 
 
+def _rate_token(kind, token):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"--rates: invalid {kind.__name__} value {token!r}") from None
+
+
 def _parse_rates(tokens: list) -> list[float]:
     """Either 'log MIN MAX COUNT' or an explicit list of positive rates."""
     if len(tokens) == 0:
@@ -96,15 +103,15 @@ def _parse_rates(tokens: list) -> list[float]:
     if str(tokens[0]) == "log":
         if len(tokens) != 4:
             raise ValueError("log rate range needs exactly: log MIN MAX COUNT")
-        lo, hi = float(tokens[1]), float(tokens[2])
-        count = int(tokens[3])
+        lo, hi = _rate_token(float, tokens[1]), _rate_token(float, tokens[2])
+        count = _rate_token(int, tokens[3])
         if not (0 < lo < math.inf and 0 < hi < math.inf):
             raise ValueError(f"log-spaced rates require positive finite bounds, got {lo}, {hi}")
         if count < 2:
             raise ValueError(f"log rate range needs at least 2 points, got {count}")
         step = (math.log10(hi) - math.log10(lo)) / (count - 1)
         return [10 ** (math.log10(lo) + i * step) for i in range(count)]
-    rates = [float(t) for t in tokens]
+    rates = [_rate_token(float, t) for t in tokens]
     if not all(0 < r < math.inf for r in rates):
         raise ValueError(f"rates must be positive and finite, got {rates}")
     return rates

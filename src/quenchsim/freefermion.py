@@ -69,21 +69,22 @@ def momentum_grid(n_spins: int) -> np.ndarray:
 
 def excitation_prob(
     U: np.ndarray,
-    k: float,
+    k: float | np.ndarray,
     gamma_f: float,
     h_f: float,
     gamma_i: float,
     h_i: float,
-) -> float:
+) -> float | np.ndarray:
     """p_k = |<excited(final params)| U |ground(initial params)>|^2, with
     the ground state of the module docstring and the excited state
-    (-sin(theta_k/2), cos(theta_k/2))."""
-    th_i = math.atan2(gamma_i * math.sin(k), h_i - math.cos(k))
-    th_f = math.atan2(gamma_f * math.sin(k), h_f - math.cos(k))
-    g_i = np.array([math.cos(th_i / 2), math.sin(th_i / 2)], dtype=complex)
-    e_f = np.array([-math.sin(th_f / 2), math.cos(th_f / 2)], dtype=complex)
-    amp = np.vdot(e_f, U @ g_i)
-    return float(min(abs(amp) ** 2, 1.0))
+    (-sin(theta_k/2), cos(theta_k/2)), for one momentum k and U of shape
+    (2, 2), or for an array of M momenta and U of shape (M, 2, 2)."""
+    th_i = np.arctan2(gamma_i * np.sin(k), h_i - np.cos(k))
+    th_f = np.arctan2(gamma_f * np.sin(k), h_f - np.cos(k))
+    g_i = np.stack([np.cos(th_i / 2), np.sin(th_i / 2)], axis=-1).astype(complex)
+    e_f = np.stack([-np.sin(th_f / 2), np.cos(th_f / 2)], axis=-1).astype(complex)
+    amp = np.einsum("...i,...ij,...j->...", e_f.conj(), U, g_i)
+    return np.minimum(np.abs(amp) ** 2, 1.0)
 
 
 def defect_density(pk) -> float:
@@ -320,6 +321,9 @@ def evolve_mode_kicks_exact(k: float, theta_seq: np.ndarray, gamma: float) -> np
     alpha_j = pi sin k sqrt(gamma^2 + tan^2 theta_j) and
     n_j = (gamma, 0, tan theta_j)/sqrt(gamma^2 + tan^2 theta_j).
     No time discretization enters; theta_j = +-pi/2 is rejected.
+
+    Kept only as perfbench's rate-free reference (workloads._exact_kick_density)
+    until the benchmark has its own oracle; the tests use oracles.kick_product.
     """
     theta_seq = np.asarray(theta_seq, dtype=float)
     bad = np.abs(np.cos(theta_seq)) < 1e-12
@@ -340,10 +344,5 @@ def run_chain(cfg: ChainConfig, track_err: bool = False):
     """
     ks = momentum_grid(cfg.n_spins)
     U, err = evolve_modes(cfg, ks, track_err=track_err)
-    th_if = np.arctan2(cfg.gamma_i * np.sin(ks), cfg.h_i - np.cos(ks))
-    th_ff = np.arctan2(cfg.gamma_f * np.sin(ks), cfg.h_f - np.cos(ks))
-    g_i = np.stack([np.cos(th_if / 2), np.sin(th_if / 2)], axis=1).astype(complex)
-    e_f = np.stack([-np.sin(th_ff / 2), np.cos(th_ff / 2)], axis=1).astype(complex)
-    amp = np.einsum("mi,mij,mj->m", e_f.conj(), U, g_i)
-    pk = np.minimum(np.abs(amp) ** 2, 1.0)
+    pk = excitation_prob(U, ks, cfg.gamma_f, cfg.h_f, cfg.gamma_i, cfg.h_i)
     return DefectResult(ks, pk, defect_density(pk)), err

@@ -1,8 +1,11 @@
 """Independent reference implementations for the tests.
 
 Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
-the engines in quenchsim do not run.  Nothing here imports quenchsim, so a
-check against an oracle cannot share code with the engine it checks.
+the engines in quenchsim do not run: among them the single-sample kick
+product as a plain matrix product (kick_product), its leading-order closed
+form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
+(kz_exponent).  Nothing here imports quenchsim, so a check against an oracle
+cannot share code with the engine it checks.
 
 Every Hamiltonian here is a 2x2 Hermitian matrix written in Bloch form
 H = c*I + d.sigma with a real scalar c and a real 3-vector d; spinors are
@@ -221,3 +224,98 @@ def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -
     seg2 = 0.5 * (f[1:] + f[:-1]) * np.diff(lam)
     integral = np.concatenate([[0.0 + 0.0j], np.cumsum(seg2)])
     return np.abs(integral)
+
+
+# ---------------------------------------------------------------------------
+# kicked geodesic on the Ising line, and the scaling predictions
+# ---------------------------------------------------------------------------
+
+
+def kick_product(k: float, thetas, gamma: float) -> np.ndarray:
+    """Left-ordered product R_n ... R_1 of the single-sample kicks on the
+    field line, R_j = su2_rotation(n_j, pi E_j) with a_j = sin k tan(theta_j),
+    d = gamma sin k, E_j = hypot(a_j, d) and n_j = (d, 0, a_j) / E_j.
+
+    Kick j is an area-pi/2 pulse of H_j = -2 (a_j Z + d X), so
+    exp(-i H_j pi/2) = exp(+i pi E_j n_j.sigma).  thetas are the
+    field-convention angles, tan(theta) = (h - cos k) / sin k.
+    """
+    s = math.sin(k)
+    d = gamma * s
+    u = IDENT
+    for th in np.asarray(thetas, dtype=float):
+        a = s * math.tan(th)
+        e = math.hypot(a, d)
+        u = su2_rotation(np.array([d, 0.0, a]) / e, math.pi * e) @ u
+    return u
+
+
+def kick_pk(k: float, thetas, gamma: float, h_i: float, h_f: float) -> float:
+    """|<excited(gamma, h_f)| kick_product |ground(gamma, h_i)>|^2."""
+    g_i, _ = ground_excited(k, gamma, h_i)
+    _, e_f = ground_excited(k, gamma, h_f)
+    return abs(np.vdot(e_f, kick_product(k, thetas, gamma) @ g_i)) ** 2
+
+
+def kz_exponent(nu: float, z: float, r: float, d: int, p: int) -> float:
+    """Defect-scaling decay exponent nu*r*(d - p) / (1 + r*z*nu) for a quench
+    with ramp power r across a transition with correlation-length exponent nu,
+    dynamical exponent z, spatial dimension d, and defect dimension p."""
+    if not d >= p >= 0:
+        raise ValueError(f"need d >= p >= 0, got d={d}, p={p}")
+    denom = 1.0 + r * z * nu
+    if denom == 0:
+        raise ValueError("degenerate denominator 1 + r*z*nu = 0")
+    return nu * r * (d - p) / denom
+
+
+def kick_pk_leading_order(ks, gamma: float, h_i: float, h_f: float, n_kicks: int) -> np.ndarray:
+    """Leading-order excitation probabilities of an n_kicks single-sample
+    kick train on the Ising line, h_i -> h_f along the per-mode geodesic.
+
+    Mode k has H_k = -2 (a Z + d X), a = h - cos k, d = gamma sin k, and
+    ground state (cos(beta/2), sin(beta/2)) with beta = atan2(d, a).  Kick j
+    sits at the field h_j with h_j - cos k = sin k tan(theta_j), theta_j
+    affine in (2j-1)/(2 n_kicks) between the field-convention angles
+    atan2(h - cos k, sin k) of h_i and h_f.  An area-pi/2 pulse is the
+    rotation exp(i alpha_j n_j.sigma), alpha_j = pi E_k(theta_j),
+    E_k = hypot(a, d): in the eigenbasis at kick j it multiplies the ground
+    amplitude by e^{+i alpha_j} and the excited one by e^{-i alpha_j}.
+
+    Between kicks only the basis turns, from beta_{j-1} to beta_j
+    (beta_0 and beta_{n+1} are the initial and final angles), which moves
+    amplitude -sin((beta_j - beta_{j-1})/2) from ground to excited.  To
+    first order in these steps, and exactly in alpha_j, the excited
+    amplitude at the end is, up to a common phase,
+
+        -1/2 sum_{j=1}^{n+1} (beta_j - beta_{j-1}) e^{i Phi_j},
+        Phi_j = 2 sum_{l<j} alpha_l,
+
+    so p_k = 1/4 |sum_j (beta_j - beta_{j-1}) e^{i Phi_j}|^2.  The error is
+    of the next order in the per-kick angle step, so it falls as the kicks
+    get denser: against the exact product at N=250, gamma=1, h 1.0 -> 1.1
+    the defect density deviates by 7.6e-2 (50 kicks), 1.3e-2 (200),
+    3.4e-3 (400), 8.6e-4 (800).  At constant E_k the sum is the trapezoid
+    of a geometric series, |cot(pi E_k) sin(n pi E_k)| times the angle
+    step, so p_k oscillates in k instead of following a sin^2 k envelope.
+
+    ks: 1-D array of momenta in (0, pi).  Returns p_k, one per momentum.
+    """
+    if n_kicks < 1 or int(n_kicks) != n_kicks:
+        raise ValueError(f"n_kicks must be a positive integer, got {n_kicks}")
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or np.any((ks <= 0) | (ks >= np.pi)):
+        raise ValueError("momenta must be a 1-D array inside (0, pi)")
+    s, c = np.sin(ks), np.cos(ks)
+    nk = int(n_kicks)
+    lam = (2 * np.arange(1, nk + 1) - 1) / (2 * nk)
+    th_i = np.arctan2(h_i - c, s)
+    th_f = np.arctan2(h_f - c, s)
+    a = s * np.tan(th_i + (th_f - th_i) * lam[:, None])
+    d = gamma * s
+    beta = np.concatenate([np.arctan2(d, h_i - c)[None], np.arctan2(d, a),
+                           np.arctan2(d, h_f - c)[None]])
+    alpha = np.pi * np.hypot(a, d)
+    phi = 2.0 * np.concatenate([np.zeros_like(alpha[:1]), np.cumsum(alpha, axis=0)])
+    amp = (np.diff(beta, axis=0) * np.exp(1j * phi)).sum(axis=0)
+    return 0.25 * np.abs(amp) ** 2

@@ -306,6 +306,8 @@ class TestInputChecks:
         (["chain", "--regime", "anisotropy", "--gamma", "nan", "1", "--rates", "1"],
          "gamma_i", "nan"),
         (["chain", "--rates", "nan"], "rates", "nan"),
+        (["chain", "--rates", "abc"], "--rates", "'abc'"),
+        (["chain", "--rates", "log", "0.1", "1", "abc"], "--rates", "'abc'"),
         (["lz", "--eps", "nan"], "eps", "nan"),
         (["lz", "--x", "nan", "1"], "x_i", "nan"),
         (["lz", "--T", "nan"], "T", "nan"),

@@ -25,6 +25,7 @@ from oracles import (
     eig2,
     fidelity,
     ground_excited,
+    kick_product,
     kmode,
     kmode_hamiltonian,
 )
@@ -131,12 +132,16 @@ class TestEvolveModes:
         assert np.abs(U - IDENT).max() < 1e-4
 
     def test_stepwise_matches_exact_kicks(self):
-        """Single-sample pulses reduce to the SU(2) kick product."""
+        """Single-sample pulses reduce to the SU(2) kick product, and
+        evolve_mode_kicks_exact (perfbench's rate-free reference) is that
+        product."""
         cfg = ising_cfg(1.0, 1e-4, Strategy.GEO_JUMP, nkicks=5, n_spins=64)
         for k in momentum_grid(64)[::13]:
+            thetas = theta_path_ising(k, 10.0, 0.0, 5)
             U_step = evolve_modes(cfg, np.array([k]))[0][0]
-            U_exact = evolve_mode_kicks_exact(k, theta_path_ising(k, 10.0, 0.0, 5), 1.0)
-            assert np.abs(U_step - U_exact).max() < 1e-6
+            U_oracle = kick_product(k, thetas, 1.0)
+            assert np.abs(U_step - U_oracle).max() < 1e-6
+            assert np.abs(evolve_mode_kicks_exact(k, thetas, 1.0) - U_oracle).max() < 1e-12
 
     def test_slow_linear_quench_is_adiabatic(self):
         """T = 1e4 linear sweep leaves every mode of a short chain unexcited."""
@@ -223,6 +228,21 @@ class TestExactKicks:
 
 
 class TestExcitationProb:
+    @pytest.mark.parametrize("strategy, collective, nkicks", [
+        (Strategy.LIN, True, 0), (Strategy.GEO, True, 0), (Strategy.GEO, False, 0),
+        (Strategy.GEO_JUMP, True, 4)], ids=["lin", "geo", "per-mode-geo", "geojump"])
+    def test_is_the_engine_projection(self, strategy, collective, nkicks):
+        """run_chain's p_k is excitation_prob over the grid, bitwise; one
+        momentum with its (2, 2) unitary gives that entry as a float."""
+        cfg = ising_cfg(1.0, 1e-3, strategy, nkicks=nkicks, n_spins=32, collective=collective)
+        ks = momentum_grid(32)
+        U, _ = evolve_modes(cfg, ks)
+        pk = run_chain(cfg)[0].pk
+        assert np.array_equal(excitation_prob(U, ks, 1.0, 0.0, 1.0, 10.0), pk)
+        for i in (0, 7, 15):
+            p = excitation_prob(U[i], ks[i], 1.0, 0.0, 1.0, 10.0)
+            assert isinstance(p, float) and abs(p - pk[i]) <= 1e-15
+
     def test_identity_same_endpoints(self):
         assert excitation_prob(IDENT, 1.0, 1.0, 0.5, 1.0, 0.5) == pytest.approx(0.0)
 
