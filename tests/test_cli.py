@@ -306,13 +306,13 @@ class TestInputChecks:
         (["chain", "--regime", "anisotropy", "--gamma", "nan", "1", "--rates", "1"],
          "gamma_i", "nan"),
         (["chain", "--rates", "nan"], "rates", "nan"),
-        (["chain", "--rates", "abc"], "--rates", "'abc'"),
-        (["chain", "--rates", "log", "0.1", "1", "abc"], "--rates", "'abc'"),
         (["lz", "--eps", "nan"], "eps", "nan"),
         (["lz", "--x", "nan", "1"], "x_i", "nan"),
         (["lz", "--T", "nan"], "T", "nan"),
         (["sweep", "--strategy", "geojump", "--kicks", "2", "--pulse-width", "nan",
           "--rates", "1"], "delta_t", "nan"),
+        (["chain", "--rates", "abc"], "--rates", "'abc'"),
+        (["chain", "--rates", "log", "0.1", "1", "abc"], "--rates", "'abc'"),
     ])
     def test_non_finite_number_exits_2_before_evolving(self, args, field, value, tmp_path,
                                                         capsys, monkeypatch):
