@@ -17,9 +17,11 @@ defaults, so flags given explicitly still override them; the resolved
 settings (and the manifest's keys) are every destination of that parser.
 
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
-are reduced in submission order, and floats are written with shortest
-round-trip repr, so identical configs produce byte-identical files for any
-worker count.  Every output's directory is checked before any work starts.
+are reduced in submission order, and floats are handed to csv as Python
+floats, which it writes with their shortest round-trip repr, so identical
+configs produce byte-identical files for any worker count.  Every output path
+is checked before any work starts: it must name a file in an existing
+directory, and no two files of a run (tables and manifests) may be the same.
 Output files are written to a temporary file in the target directory and
 renamed into place, so an interrupted run leaves no partial file at the
 destination; a manifest listing the fully resolved configuration is written
@@ -38,21 +40,11 @@ import tempfile
 from collections.abc import Iterable
 from multiprocessing import Pool
 
-import numpy as np
-
 from . import __version__
 from .analysis import fit_power_law
 from .freefermion import ChainConfig, Regime, run_chain
 from .landau_zener import LZConfig, evolve_lz
 from .schedules import Strategy, kick_train
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
 
 
 def _write_atomically(path: str, write) -> None:
@@ -76,15 +68,14 @@ def _atomic_write(path: str, header: list[str], rows: Iterable[tuple]) -> None:
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
     _write_atomically(path, write)
 
 
 def _write_manifest(out_path: str, resolved: dict) -> str:
     path = out_path + ".manifest.txt"
-    lines = [f"quenchsim {__version__}"] + [f"{k} = {_fmt(resolved[k])}" for k in sorted(resolved)]
+    lines = [f"quenchsim {__version__}"] + [f"{k} = {resolved[k]}" for k in sorted(resolved)]
     _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     return path
 
@@ -194,8 +185,8 @@ def _run_lz(ns: argparse.Namespace) -> int:
         strategy=Strategy(cfg["strategy"]),
         kicks=kick_train(cfg["kicks"], cfg["pulse_width"] or cfg["dt"]) if cfg["kicks"] else None,
     ))
-    rows = zip(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
-               traj.phase_diff_im, traj.err)
+    rows = zip(*(map(float, c) for c in (traj.times, traj.fidelity, traj.gap,
+                                          traj.phase_diff_re, traj.phase_diff_im, traj.err)))
     _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"], rows)
     _write_manifest(cfg["out"], cfg)
     print(f"wrote {cfg['out']} ({len(traj.times)} rows, "
@@ -292,7 +283,8 @@ def _run_table(ns: argparse.Namespace) -> int:
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if modes_out:
-        _atomic_write(modes_out, ["k", "p_k", "err_k"], zip(result.ks, result.pk, err))
+        _atomic_write(modes_out, ["k", "p_k", "err_k"],
+                      zip(*(map(float, c) for c in (result.ks, result.pk, err))))
         _write_manifest(modes_out, resolved)
         written.append(modes_out)
     print(f"wrote {', '.join(written)} ({len(rows)} rows)")
@@ -409,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    if not argv:
-        parser.print_help(sys.stderr)
-        return 2
     ns = parser.parse_args(argv)
     if not hasattr(ns, "func"):
         parser.print_help(sys.stderr)
@@ -420,9 +409,18 @@ def main(argv: list[str] | None = None) -> int:
         if ns.config:
             _config_defaults(ns)
             ns = parser.parse_args(argv)
-        for path in (ns.out, getattr(ns, "modes_out", "")):
-            if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        out, modes_out = ns.out, getattr(ns, "modes_out", "")
+        if not out:
+            raise ValueError("--out: empty path")
+        paths = [p for p in (out, modes_out) if p]
+        for path in paths:
+            if not os.path.basename(path) or os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it names a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
                 raise ValueError(f"cannot write {path}: no such directory")
+        written = [os.path.realpath(p + ext) for p in paths for ext in ("", ".manifest.txt")]
+        if len(set(written)) < len(written):
+            raise ValueError(f"--out {out} and --modes-out {modes_out} would overwrite each other")
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
 the engines in quenchsim do not run: among them the single-sample kick
 product as a plain matrix product (kick_product), its leading-order closed
 form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
-(kz_exponent).  Nothing here imports quenchsim, so a check against an oracle
-cannot share code with the engine it checks.
+(kz_exponent); and a table writer that formats every cell on its own, each
+number as repr(float(v)) (fmt_table, fmt_manifest), the reference for the
+bytes of every CLI output file.  Nothing here imports quenchsim, so a check
+against an oracle cannot share code with the engine it checks.
 
 Every Hamiltonian here is a 2x2 Hermitian matrix written in Bloch form
 H = c*I + d.sigma with a real scalar c and a real 3-vector d; spinors are
@@ -15,6 +17,8 @@ shape (2, 2).
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -319,3 +323,32 @@ def kick_pk_leading_order(ks, gamma: float, h_i: float, h_f: float, n_kicks: int
     phi = 2.0 * np.concatenate([np.zeros_like(alpha[:1]), np.cumsum(alpha, axis=0)])
     amp = (np.diff(beta, axis=0) * np.exp(1j * phi)).sum(axis=0)
     return 0.25 * np.abs(amp) ** 2
+
+
+# ---------------------------------------------------------------------------
+# output tables: every cell formatted one by one
+# ---------------------------------------------------------------------------
+
+
+def fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
+    return str(v)
+
+
+def fmt_table(header: list[str], rows) -> str:
+    """The CSV text of a table, each cell formatted by fmt."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return fh.getvalue()
+
+
+def fmt_manifest(version: str, resolved: dict) -> str:
+    """The text of a manifest: the version line, then one sorted key = value line each."""
+    lines = [f"quenchsim {version}"] + [f"{k} = {fmt(resolved[k])}" for k in sorted(resolved)]
+    return "\n".join(lines) + "\n"

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import fmt_manifest, fmt_table
 
-from quenchsim import cli, freefermion
+from quenchsim import __version__, cli, freefermion
 
 
 def read_csv(path):
@@ -494,9 +496,143 @@ class TestExitCodes:
         assert "no/modes.csv" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command,flags", [
+        *[pytest.param(c, ["-o", p], id=f"{c}-o={p}")
+          for c in ("lz", "chain", "fit") for p in ("", ".", "sub", "sub/", "new/")],
+        *[pytest.param("chain", ["-o", "ok.csv", "--modes-out", p], id=f"chain-modes-out={p}")
+          for p in (".", "sub", "new/")],
+    ])
+    def test_output_naming_a_directory_fails_before_any_work(self, command, flags, tmp_path,
+                                                              capsys, monkeypatch):
+        """An empty --out, or an output path that names a directory, exits 2
+        naming the path as given, before any work and without leaving a
+        temporary file here or in the parent directory."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "table.csv").write_text("rate,n_defect\n0.5,0.1\n1.0,0.2\n2.0,0.35\n")
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        monkeypatch.setattr(cli, "fit_power_law", _fail)
+        assert cli.main([command, *_RUN_ARGS[command], *flags]) == 2
+        path = flags[-1]
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path}: it names a directory\n" if path
+            else "error: --out: empty path\n")
+        assert sorted(os.listdir(tmp_path)) == ["sub", "table.csv"]
+        assert os.listdir(tmp_path / "sub") == []
+        assert not [p for p in os.listdir(tmp_path.parent) if p.startswith(".tmp-")]
+
+    @pytest.mark.parametrize("out,modes_out", [
+        ("same.csv", "same.csv"), ("same.csv", "./same.csv"), ("same.csv", "sub/../same.csv"),
+        ("same.csv", "link.csv"), ("d.csv", "d.csv.manifest.txt"), ("m.csv.manifest.txt", "m.csv"),
+    ])
+    def test_outputs_overwriting_each_other_fail_before_any_work(self, out, modes_out, tmp_path,
+                                                                 capsys, monkeypatch):
+        """The defect table, the mode table and their manifests are four
+        different files, however the paths are spelled."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("same.csv", "link.csv")
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        assert cli.main(["chain", *_RUN_ARGS["chain"], "-o", out, "--modes-out", modes_out]) == 2
+        assert capsys.readouterr().err \
+            == f"error: --out {out} and --modes-out {modes_out} would overwrite each other\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "sub"]
+
     def test_failed_temporary_file_names_the_requested_path(self, tmp_path, monkeypatch):
         """Should creating the temporary file still fail, the error names the
         requested path, not the random temporary name."""
         monkeypatch.chdir(tmp_path)
         with pytest.raises(OSError, match="^cannot write no/x.csv: No such file or directory$"):
             cli._write_atomically("no/x.csv", lambda fh: None)
+
+
+_LZ_HEADER = ["t", "fidelity", "gap", "re_phase", "im_phase", "err"]
+
+
+class TestTableBytes:
+    """Tables and manifests keep the bytes of the cell-by-cell formatter
+    (oracles.fmt_table, oracles.fmt_manifest) on every table kind."""
+
+    @pytest.mark.parametrize("args", [
+        ["lz", "--strategy", "lin", "--T", "1.0", "--dt", "1e-2"],
+        ["lz", "--strategy", "geo", "--eps", "-0.1", "--T", "1.0006", "--dt", "1e-2"],
+        ["lz", "--strategy", "geojump", "--kicks", "3", "--T", "1.0", "--dt", "1e-2"],
+        ["chain", "--strategy", "geo", "--spins", "16", "--dt", "1e-2", "--rates", "0.5",
+         "--modes-out", "modes.csv"],
+        ["chain", "--strategy", "geojump", "--kicks", "2", "--pulse-width", "0.03",
+         "--regime", "anisotropy", "--spins", "16", "--dt", "1e-2", "--rates", "0.5",
+         "--modes-out", "modes.csv"],
+        ["chain", "--strategy", "lin", "--spins", "16", "--dt", "1e-2",
+         "--rates", "log", "0.1", "1", "3"],
+        ["sweep", "--strategy", "lin", "geo", "geojump", "--kicks", "2", "5",
+         "--pulse-width", "0", "0.01", "--per-mode-geodesic", "--spins", "8", "--dt", "1e-2",
+         "--rates", "0.5", "1", "--workers", "1"],
+        ["fit", "--input", "table.csv", "--window", "0.01", "100"],
+    ], ids=["lz-lin", "lz-geo", "lz-geojump", "chain-modes", "chain-kick-modes",
+            "chain", "sweep", "fit"])
+    def test_outputs_match_the_cell_formatter(self, args, tmp_path, monkeypatch):
+        """The lz and mode tables are checked against the engine's numpy
+        columns, the other tables against the rows the CLI hands the writer.
+        The fit input has no kicks or pulse_width column, so those keys are
+        empty."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.csv").write_text(
+            "rate,strategy,regime,n_defect\n0.1,lin,ising,0.31\n1,lin,ising,0.52\n"
+            "10,lin,ising,0.9\n0.1,geo,ising,0.2\n1,geo,ising,0.25\n10,geo,ising,0.4\n")
+        expected, engine = {}, {}
+        write, manifest = cli._atomic_write, cli._write_manifest
+        evolve_lz, run_chain = cli.evolve_lz, cli.run_chain
+
+        def spy_write(path, header, rows):
+            rows = list(rows)
+            expected[path] = fmt_table(header, rows)
+            write(path, header, rows)
+
+        def spy_manifest(out_path, resolved):
+            expected[out_path + ".manifest.txt"] = fmt_manifest(__version__, resolved)
+            return manifest(out_path, resolved)
+
+        def spy_lz(cfg):
+            engine["lz"] = evolve_lz(cfg)
+            return engine["lz"]
+
+        def spy_chain(cfg, track_err=False):
+            engine["chain"] = run_chain(cfg, track_err=track_err)
+            return engine["chain"]
+
+        monkeypatch.setattr(cli, "_atomic_write", spy_write)
+        monkeypatch.setattr(cli, "_write_manifest", spy_manifest)
+        monkeypatch.setattr(cli, "evolve_lz", spy_lz)
+        monkeypatch.setattr(cli, "run_chain", spy_chain)
+        assert cli.main([*args, "-o", "out.csv"]) == 0
+        if "lz" in engine:
+            traj = engine["lz"]
+            expected["out.csv"] = fmt_table(_LZ_HEADER, zip(
+                traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
+                traj.phase_diff_im, traj.err))
+        if "--modes-out" in args:
+            result, err = engine["chain"]
+            expected["modes.csv"] = fmt_table(["k", "p_k", "err_k"],
+                                              zip(result.ks, result.pk, err))
+        written = sorted(p for p in os.listdir(tmp_path) if p != "table.csv")
+        assert written == sorted(expected)
+        for path, text in expected.items():
+            assert (tmp_path / path).read_bytes() == text.encode(), path
+
+    def test_edge_values_match_the_cell_formatter(self, tmp_path):
+        """Signed zeros, subnormals, large and small magnitudes, integer-valued
+        floats and non-finite values, as Python or numpy scalars."""
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e16, 9999999999999998.0, 1e-4, 1e-5, 1.0,
+                  -3.0, 0.1, 1 / 3, math.nan, math.inf, -math.inf]
+        rows = [(v, np.float64(v), float(np.float64(v)), 7, np.int64(-7), "geo", "")
+                for v in values]
+        header = ["py", "np", "np_as_py", "int", "np_int", "str", "empty"]
+        cli._atomic_write(str(tmp_path / "t.csv"), header, iter(rows))
+        assert (tmp_path / "t.csv").read_text() == fmt_table(header, rows)
+        resolved = {"none": None, "on": True, "off": False, "rates": [0.1, 1e-5, 2.0],
+                    "x": [-0.0, 5e-324], "empty": [], "s": "", "n": 3, "f": 1e16,
+                    "np_f": np.float64(1e-5), "np_i": np.int64(4), "nan": math.nan}
+        cli._write_manifest(str(tmp_path / "t.csv"), resolved)
+        assert (tmp_path / "t.csv.manifest.txt").read_text() \
+            == fmt_manifest(__version__, resolved)

@@ -1,4 +1,5 @@
-"""Guards on what the package exports and on the independence of the oracles."""
+"""Guards on what the package exports, on dead code in it and on the
+independence of the oracles."""
 
 import ast
 from pathlib import Path
@@ -24,17 +25,62 @@ def test_every_exported_name_resolves():
         assert hasattr(quenchsim, name), name
 
 
+# Names kept only because the benchmark (perfbench/) reaches them by name;
+# each entry is "module.name".
+PINNED_BY_BENCHMARK = [
+    "freefermion._phase_ramp",
+    "freefermion.evolve_mode_kicks_exact",
+    "landau_zener._phase_ramp",
+    "su2.expm_bloch_batch",
+]
+
+
+def _package_modules() -> dict:
+    """Module name -> parsed source, for every module but __init__.py."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(quenchsim.__file__).parent.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _used_names(tree: ast.Module) -> set:
+    """The names a module loads or reads as attributes, each top-level
+    statement apart from its own definition."""
+    used = set()
+    for stmt in tree.body:
+        names = {n.id for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        used |= names - {getattr(stmt, "name", None)}
+    return used
+
+
 def test_every_exported_name_is_used_by_the_package():
     """An exported name that no module of the package uses outside its own
     definition (and __init__.py) is test-only code: it belongs in
     tests/oracles.py."""
-    used = set()
-    for path in Path(quenchsim.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            names = {n.id for n in ast.walk(stmt)
-                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            used |= names - {getattr(stmt, "name", None)}
+    used = set().union(*map(_used_names, _package_modules().values()))
     assert [name for name in quenchsim.__all__ if name not in used] == []
+
+
+def test_no_dead_code_in_the_package():
+    """Every module-level function and class, and every method, is used by
+    some module of the package outside its own definition, and every
+    imported name by the module that imports it.  Dunder methods are called
+    by Python itself."""
+    modules = _package_modules()
+    used = set().union(*map(_used_names, modules.values()))
+    unused = []
+    for module, tree in modules.items():
+        own = _used_names(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and \
+                    getattr(stmt, "module", None) != "__future__":
+                names = [(alias.asname or alias.name).split(".")[0] for alias in stmt.names]
+                unused += [f"{module}.{name}" for name in names if name not in own]
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+                if isinstance(stmt, ast.ClassDef):
+                    names += [m.name for m in stmt.body if isinstance(m, ast.FunctionDef)
+                              and not (m.name.startswith("__") and m.name.endswith("__"))]
+                unused += [f"{module}.{name}" for name in names if name not in used]
+    assert sorted(unused) == PINNED_BY_BENCHMARK
