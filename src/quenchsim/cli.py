@@ -16,12 +16,15 @@ as their flags convert the command line, become the subcommand parser's
 defaults, so flags given explicitly still override them; the resolved
 settings (and the manifest's keys) are every destination of that parser.
 
+A cell run in process threads its modes over every usable CPU; a pool of
+--workers processes gives each cell max(1, CPUs // pool size) threads.
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
 are reduced in submission order, and floats are handed to csv as Python
 floats, which it writes with their shortest round-trip repr, so identical
-configs produce byte-identical files for any worker count.  Every output path
-is checked before any work starts: it must name a file in an existing
-directory, and no two files of a run (tables and manifests) may be the same.
+configs produce byte-identical files for any worker or thread count.  Every
+output path is checked before any work starts: it must name a file in an
+existing directory, and no two files of a run (tables and manifests) may be
+the same.
 Output files are written to a temporary file in the target directory and
 renamed into place, so an interrupted run leaves no partial file at the
 destination; a manifest listing the fully resolved configuration is written
@@ -38,11 +41,12 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
+from functools import partial
 from multiprocessing import Pool
 
 from . import __version__
 from .analysis import fit_power_law
-from .freefermion import ChainConfig, Regime, run_chain
+from .freefermion import ChainConfig, Regime, _usable_cpus, run_chain
 from .landau_zener import LZConfig, evolve_lz
 from .schedules import Strategy, kick_train
 
@@ -164,7 +168,7 @@ def _settings(ns: argparse.Namespace) -> dict:
 
 def _resolve_workers(spec) -> int:
     if spec in (None, "auto"):
-        return os.cpu_count() or 1
+        return _usable_cpus()
     try:
         n = int(spec)
     except ValueError:
@@ -224,11 +228,12 @@ def _chain_cells(cfg: dict, combos: list[tuple], rates: list[float]) -> list[tup
     return cells
 
 
-def _defect_task(cell: tuple, track_err: bool = False) -> tuple:
-    """Worker entry: run one (rate, ChainConfig) cell; returns
-    (defect row, DefectResult, per-mode error or None)."""
+def _defect_task(cell: tuple, track_err: bool = False, threads: int | None = None) -> tuple:
+    """Worker entry: run one (rate, ChainConfig) cell on threads threads
+    (None: all usable CPUs); returns (defect row, DefectResult, per-mode
+    error or None)."""
     rate, chain = cell
-    result, err = run_chain(chain, track_err=track_err)
+    result, err = run_chain(chain, track_err=track_err, threads=threads)
     kicks = chain.kicks
     row = (
         rate, chain.strategy.value, chain.regime.value,
@@ -241,11 +246,15 @@ _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect
 
 
 def _run_cells(cells: list[tuple], workers: int) -> list[tuple]:
+    """Run the cells in order, in process on every usable CPU, or in a pool
+    whose workers share the CPUs out as threads (at least one each)."""
     if workers == 1 or len(cells) == 1:
         results = [_defect_task(c) for c in cells]
     else:
-        with Pool(min(workers, len(cells))) as pool:
-            results = pool.map(_defect_task, cells)
+        size = min(workers, len(cells))
+        with Pool(size) as pool:
+            results = pool.map(partial(_defect_task, threads=max(1, _usable_cpus() // size)),
+                               cells)
     return [row for row, _, _ in results]
 
 

@@ -30,14 +30,22 @@ entries of a kicked one, reduced by a time-ordered tree product per chunk of
 rows.  The adiabaticity error is summed from su2._err_terms over the same
 rows; the frozen stretch before a kicked row that does not follow its
 predecessor, and after the last one, is a segment with no phase growth.
-Per-(mode, rate) work is pure and can be farmed out to worker processes
-with an ordered reduction.
+Modes never mix, so evolve_modes splits them into contiguous blocks of at
+least two modes and runs the chunk loop of each block on its own thread
+(numpy releases the GIL inside its ufuncs); the blocks share the cell's
+sampler and are joined in mode order.  Every operation is elementwise in the
+mode, or a reduction over rows that numpy runs row by row on any block of two
+or more modes, so U and the error are bitwise the same for any thread count.
+A run uses the process's usable CPUs unless told otherwise; per-(mode, rate)
+work is pure, so cells can also be farmed out to worker processes with an
+ordered reduction.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,6 +57,15 @@ from .su2 import _quat_steps, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
 _RAMP_PTS = 20001
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (os.cpu_count() ignores it), else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 class Regime(str, enum.Enum):
@@ -107,8 +124,10 @@ class ChainConfig(Run):
     geodesic strategy, collective_geodesic selects one shared control ramp
     with constant speed under the summed mode metric (default) instead of an
     independent constant-speed schedule per mode.  The step grid and the
-    checks on T, dt and kicks come from schedules.Run; a run on per-mode
-    geodesics is checked on every mode, so h = cos k fails before evolving.
+    checks on T, dt and kicks come from schedules.Run.  A control whose
+    generator a^2 + d^2 overflows on some mode at either end, and so on the
+    path between them, is rejected, as is a run on per-mode geodesics with
+    h = cos k on some mode: both fail before evolving.
     """
 
     n_spins: int
@@ -141,6 +160,17 @@ class ChainConfig(Run):
                 raise ValueError(f"gapless regime requires h = 1, got h={self.h_i}")
             if self.regime is Regime.ANISOTROPY and abs(self.h_i) >= 1.0:
                 raise ValueError(f"anisotropy regime requires |h| < 1, got h={self.h_i}")
+        # |a| and |d| peak at an end of every path: the linear and the
+        # collective ramps move the control monotonically, and a per-mode
+        # geodesic moves theta along an arc that crosses no tan pole
+        name, s, c = "h" if self.varies_h else "gamma", np.sin(ks), np.cos(ks)
+        for end, p in zip("if", self.control):
+            gamma, h = self.params(p)
+            a, d = h - c, gamma * s
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(a * a + d * d)):
+                    raise ValueError(f"{name}_{end}={p} is too large: the generator "
+                                     "a^2 + d^2 overflows")
         if self.on_mode_geodesics:
             _mode_geodesic_angles(self, ks)
 
@@ -218,32 +248,36 @@ def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray,
 
 
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
-    """Return fn(frac (S,)) -> (a, d) arrays of shape (S, M), where
-    H_k = -2 (a Z + d X), on the path of cfg's strategy: the linear or the
-    collective arc-length ramp of the varying control, or the per-mode
-    geodesics (per-mode GEO, and the kick angles of GEO_JUMP), on which the
-    mixing angle of each mode is affine in the scaled time frac."""
+    """Return fn(frac (S,), cols=slice(None)) -> (a, d) arrays of shape
+    (S, len(ks[cols])), where H_k = -2 (a Z + d X), on the path of cfg's
+    strategy: the linear or the collective arc-length ramp of the varying
+    control, or the per-mode geodesics (per-mode GEO, and the kick angles of
+    GEO_JUMP), on which the mixing angle of each mode is affine in the
+    scaled time frac.  cols picks a contiguous block of modes; the tables
+    behind fn are built once, here, for all of them."""
     s, c = np.sin(ks), np.cos(ks)
     if cfg.on_mode_geodesics:
         th_i, th_f = _mode_geodesic_angles(cfg, ks)
+        dth = th_f - th_i
 
-        def geodesic(frac):
-            th = th_i[None, :] + (th_f - th_i)[None, :] * frac[:, None]
+        def geodesic(frac, cols=slice(None)):
+            th = th_i[None, cols] + dth[None, cols] * frac[:, None]
             if cfg.varies_h:
                 # field convention: tan(theta) = (h - cos k)/sin k
-                return s[None, :] * np.tan(th), np.broadcast_to(cfg.gamma_i * s, th.shape)
+                d = np.broadcast_to(cfg.gamma_i * s[cols], th.shape)
+                return s[None, cols] * np.tan(th), d
             # anisotropy convention: tan(theta) = gamma sin k / a
-            a = cfg.h_i - c
+            a = cfg.h_i - c[cols]
             return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
 
         return geodesic
     # the varying control: the collective arc-length ramp, or the linear one
     ramp = collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO else None
 
-    def fn(frac):
+    def fn(frac, cols=slice(None)):
         frac = frac[:, None]
         gamma, h = cfg.params(ramp(frac)) if ramp else cfg.params_at(frac)
-        return np.broadcast_arrays(h - c, gamma * s)
+        return np.broadcast_arrays(h - c[cols], gamma * s[cols])
 
     return fn
 
@@ -254,7 +288,16 @@ def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return _quat_to_unitary(_ordered_product(_quat_steps(a, d, np.pi / 2)))
 
 
-def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool = False):
+class _NonFiniteControl(RuntimeError):
+    """The sampler gave a non-finite a or d; at = (row, global mode index)."""
+
+    def __init__(self, row: int, mode: int):
+        super().__init__(f"non-finite control at row {row}, mode index {mode}")
+        self.at = (row, mode)
+
+
+def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool = False,
+                 threads: int | None = None):
     """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
 
     The rows are every grid step of a continuous drive, or the entries of
@@ -263,17 +306,48 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
     thereby reduce to the ordered SU(2) kick product, with no dependence on
     T.  Between kicked rows the generator vanishes: the phase is frozen
     there and the error integral grows by e^{i phi} per unit lambda.
+
+    The modes run in min(threads, M // 2) contiguous blocks, one thread
+    each (threads=None: the process's usable CPUs); U and err are bitwise
+    the same for every thread count.  A non-finite control is reported at
+    its smallest row, then smallest mode, as a serial run finds it.
     """
     if ks is None:
         ks = momentum_grid(cfg.n_spins)
     ks = np.asarray(ks, dtype=float)
     nmodes = len(ks)
     fn = _bloch_components(cfg, ks)
+    layout = cfg.layout() if cfg.kicks is not None else None
+    nblocks = max(1, min(threads or _usable_cpus(), nmodes // 2))
+    ends = [nmodes * i // nblocks for i in range(nblocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    if nblocks == 1:
+        parts = [_evolve_block(cfg, fn, layout, blocks[0], track_err)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(nblocks) as pool:
+            futures = [pool.submit(_evolve_block, cfg, fn, layout, b, track_err)
+                       for b in blocks]
+        failed = [e for e in (f.exception() for f in futures) if e is not None]
+        if failed:
+            # the serial run's error: the smallest (row, mode) of any block
+            raise min(failed, key=lambda e: getattr(e, "at", (-1, -1)))
+        parts = [f.result() for f in futures]
+    U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts]))
+    return U, (np.concatenate([err for _, err in parts]) if track_err else None)
+
+
+def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err: bool):
+    """The chunk loop of evolve_modes on the modes cols of fn's grid, over
+    every grid step, or over the kick layout (cfg.layout()) when it is not
+    None; returns (quaternions (Mb, 4), err (Mb,) or None)."""
+    nmodes = cols.stop - cols.start
     dt = cfg.dt_eff
     dlam = dt / cfg.T
     n_rows = cfg.n_steps
-    if cfg.kicks is not None:
-        idx, lam, area = cfg.layout()
+    if layout is not None:
+        idx, lam, area = layout
         n_rows = len(idx)
         # frozen stretches: one before each row that does not follow its
         # predecessor, and one after the last row
@@ -285,32 +359,32 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
     integral = np.zeros(nmodes, dtype=complex)
     for start in range(0, n_rows, _CHUNK):
         ns = min(_CHUNK, n_rows - start)
-        if cfg.kicks is None:
+        if layout is None:
             frac, h = (start + np.arange(ns) + 0.5) * dt / cfg.T, dt
         else:
             rows = slice(start, start + ns)
             frac, h = lam[rows], area[rows, None]
-        a, d = fn(frac)
+        a, d = fn(frac, cols)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
             bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
-            raise RuntimeError(
-                f"non-finite control at row {start + bad[0]}, mode index {bad[1]}"
-            )
+            raise _NonFiniteControl(start + int(bad[0]), cols.start + int(bad[1]))
         Uq = _quat_mul(_ordered_product(_quat_steps(a, d, h)), Uq)
         if track_err:
             # E0 - E1 = -4 E_k per unit time
             dphi, w = -4.0 * np.hypot(a, d) * h, dlam
-            if cfg.kicks is not None:
+            if layout is not None:
                 at = np.flatnonzero(jump[rows])
                 dphi = np.insert(dphi, at, 0.0, axis=0)
                 w = np.insert(np.full(ns, dlam), at, gap[rows][at])[:, None]
+            # blocks are never 1 mode wide (unless the grid is): numpy sums
+            # an (S, 1) column pairwise, not row by row, in other last bits
             terms, phi = _err_terms(phase, dphi, w)
             integral += terms.sum(axis=0)
             phase = phi[-1]
-    if track_err and cfg.kicks is not None:
+    if track_err and layout is not None:
         terms, _ = _err_terms(phase, np.zeros((1, nmodes)), 1.0 - end_lam[-1])
         integral += terms[0]
-    return _quat_to_unitary(Uq), (np.abs(integral) if track_err else None)
+    return Uq, (np.abs(integral) if track_err else None)
 
 
 def evolve_mode_kicks_exact(k: float, theta_seq: np.ndarray, gamma: float) -> np.ndarray:
@@ -336,13 +410,15 @@ def evolve_mode_kicks_exact(k: float, theta_seq: np.ndarray, gamma: float) -> np
     return _kick_product(a, d)[0]
 
 
-def run_chain(cfg: ChainConfig, track_err: bool = False):
+def run_chain(cfg: ChainConfig, track_err: bool = False, threads: int | None = None):
     """Evolve all modes and assemble the defect-density result.
 
     Returns (DefectResult, err) where err is the per-mode adiabaticity error
-    array when track_err is set, else None.
+    array when track_err is set, else None.  threads is passed on to
+    evolve_modes (None: the process's usable CPUs); the result does not
+    depend on it.
     """
     ks = momentum_grid(cfg.n_spins)
-    U, err = evolve_modes(cfg, ks, track_err=track_err)
+    U, err = evolve_modes(cfg, ks, track_err=track_err, threads=threads)
     pk = excitation_prob(U, ks, cfg.gamma_f, cfg.h_f, cfg.gamma_i, cfg.h_i)
     return DefectResult(ks, pk, defect_density(pk)), err

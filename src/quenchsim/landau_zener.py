@@ -42,7 +42,9 @@ from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer
 @dataclass(frozen=True)
 class LZConfig(Run):
     """One two-level sweep: field from x_i to x_f over total time T.  The
-    step grid and the checks on T, dt and kicks come from schedules.Run."""
+    step grid and the checks on T, dt and kicks come from schedules.Run; a
+    field whose bare Hamiltonian overflows (x^2 + eps^2 at either end, and
+    so on the path between them) is rejected before evolving."""
 
     eps: float
     x_i: float
@@ -60,6 +62,11 @@ class LZConfig(Run):
             )
         if self.strategy is not Strategy.LIN and self.eps == 0:
             raise ValueError("geodesic strategies require eps != 0")
+        for name in ("x_i", "x_f"):
+            x = getattr(self, name)
+            if not math.isfinite(x * x + self.eps * self.eps):
+                raise ValueError(f"{name}={x} with eps={self.eps} is too large: the "
+                                 "generator x^2 + eps^2 overflows")
 
 
 @dataclass

@@ -182,6 +182,77 @@ class TestChainCommand:
         assert outs[0] == outs[1] == outs[2]
 
 
+class TestWorkersAndThreads:
+    def test_auto_workers_follow_the_affinity_mask(self, monkeypatch):
+        """'auto' counts the CPUs this process may run on, not the host's."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_workers("auto") == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 3, 6}, raising=False)
+        assert cli._resolve_workers("auto") == 3
+
+    @pytest.mark.parametrize("cpus,workers,threads", [
+        (1, "2", [1, 1, 1]), (2, "2", [1, 1, 1]), (4, "2", [2, 2, 2]), (8, "3", [2, 2, 2]),
+        (4, "1", [None, None, None]),
+    ])
+    def test_pool_workers_share_the_cpus_as_threads(self, cpus, workers, threads,
+                                                     tmp_path, monkeypatch):
+        """A pool of n workers gives each cell max(1, CPUs // n) threads; an
+        in-process run leaves the count to the engine (all usable CPUs)."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        seen, run_chain = [], cli.run_chain
+
+        def spy(cfg, track_err=False, threads=None):
+            seen.append(threads)
+            return run_chain(cfg, track_err=track_err, threads=threads)
+
+        class InlinePool:
+            def __init__(self, size):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return list(map(fn, cells))
+
+        monkeypatch.setattr(cli, "run_chain", spy)
+        monkeypatch.setattr(cli, "Pool", InlinePool)
+        assert cli.main(["chain", "--spins", "8", "--dt", "1e-2", "--rates", "0.5", "1", "2",
+                         "--workers", workers, "-o", str(tmp_path / "x.csv")]) == 0
+        assert seen == threads
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--strategy", "lin", "geo", "geojump", "--kicks", "2",
+         "--pulse-width", "0", "2.5e-3", "--per-mode-geodesic", "--spins", "14",
+         "--dt", "1e-3", "--rates", "2", "3.3"],
+        ["chain", "--strategy", "geo", "--spins", "14", "--dt", "1e-3", "--rates", "0.7",
+         "--modes-out", "m.csv"],
+    ], ids=["sweep", "chain-modes-out"])
+    def test_outputs_independent_of_workers_and_cpus(self, args, tmp_path, monkeypatch):
+        """Tables and manifests are byte-identical for --workers 1 and 2 on
+        1, 2 or 4 usable CPUs; manifests differ only in their workers line."""
+        outputs = {}
+        for workers in ("1", "2"):
+            for cpus in (1, 2, 4):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, n=cpus: set(range(n)), raising=False)
+                run_dir = tmp_path / f"w{workers}-c{cpus}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                assert cli.main(args + ["--workers", workers, "-o", "t.csv"]) == 0
+                outputs[workers, cpus] = {
+                    p.name: p.read_bytes().replace(f"workers = {workers}\n".encode(), b"")
+                    for p in run_dir.iterdir()}
+        first = outputs["1", 1]
+        assert len(first) == (4 if "--modes-out" in args else 2)
+        assert all(files == first for files in outputs.values())
+
+
 class TestSweepCommand:
     def test_cartesian_product_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -398,6 +469,34 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err == "error: dt=1e-320 is too small: T/dt overflows for T=1.0\n"
 
+    @pytest.mark.parametrize("args,message", [
+        (["chain", "--h", "1e200", "0", "--rates", "0.1", "--spins", "10", "--dt", "1e-2"],
+         "h_i=1e+200 is too large: the generator a^2 + d^2 overflows"),
+        (["chain", "--h", "1e200", "0", "--rates", "0.1", "--spins", "10", "--dt", "1e-2",
+          "--strategy", "geo"],
+         "h_i=1e+200 is too large: the generator a^2 + d^2 overflows"),
+        (["chain", "--h", "10", "1e200", "--rates", "0.1", "--spins", "10", "--dt", "1e-2",
+          "--strategy", "geojump", "--kicks", "3"],
+         "h_f=1e+200 is too large: the generator a^2 + d^2 overflows"),
+        (["chain", "--regime", "anisotropy", "--gamma", "1", "1e200", "--rates", "0.1",
+          "--spins", "10", "--dt", "1e-2", "--strategy", "geo", "--per-mode-geodesic"],
+         "gamma_f=1e+200 is too large: the generator a^2 + d^2 overflows"),
+        (["lz", "--eps", "1e200", "--x", "-10", "10", "--T", "1", "--dt", "1e-3"],
+         "x_i=-10.0 with eps=1e+200 is too large: the generator x^2 + eps^2 overflows"),
+        (["lz", "--x", "-10", "1e160", "--T", "1", "--dt", "1e-3", "--strategy", "geo"],
+         "x_f=1e+160 with eps=0.1 is too large: the generator x^2 + eps^2 overflows"),
+    ], ids=["chain-lin", "chain-geo", "chain-geojump", "chain-anisotropy-mode-geo",
+            "lz-eps", "lz-x"])
+    def test_overflowing_control_exits_2_before_evolving(self, args, message, tmp_path,
+                                                         capsys, monkeypatch):
+        """A control whose generator overflows would step on inf and write
+        NaN (chain) or fail late (lz); building the run rejects it."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["chain", "sweep"])
     def test_mode_on_h_equal_cos_k_exits_2_before_any_run(self, command, tmp_path,
                                                            capsys, monkeypatch):
@@ -597,8 +696,8 @@ class TestTableBytes:
             engine["lz"] = evolve_lz(cfg)
             return engine["lz"]
 
-        def spy_chain(cfg, track_err=False):
-            engine["chain"] = run_chain(cfg, track_err=track_err)
+        def spy_chain(cfg, **kwargs):
+            engine["chain"] = run_chain(cfg, **kwargs)
             return engine["chain"]
 
         monkeypatch.setattr(cli, "_atomic_write", spy_write)

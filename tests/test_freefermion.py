@@ -1,10 +1,14 @@
 """Tests for the chain momentum-mode dynamics."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from quenchsim import freefermion
 from quenchsim.freefermion import (
     ChainConfig,
     Regime,
@@ -122,6 +126,27 @@ class TestConfigValidation:
     def test_odd_spins_rejected(self):
         with pytest.raises(ValueError):
             ChainConfig(9, Regime.ISING, 1.0, 1.0, 10.0, 0.0, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("regime,gamma,h,field", [
+        (Regime.ISING, (1.0, 1.0), (1e200, 0.0), "h_i=1e+200"),
+        (Regime.ISING, (1.0, 1.0), (10.0, -1e155), "h_f=-1e+155"),
+        (Regime.ANISOTROPY, (1e155, 1.0), (0.5, 0.5), "gamma_i=1e+155"),
+    ])
+    def test_overflowing_generator_rejected(self, regime, gamma, h, field):
+        """a^2 + d^2 past the float range at either end of the control."""
+        with pytest.raises(ValueError) as info:
+            ChainConfig(8, regime, *gamma, *h, 1.0, 1e-3)
+        assert str(info.value) == f"{field} is too large: the generator a^2 + d^2 overflows"
+
+    @pytest.mark.parametrize("strategy,collective", [
+        (Strategy.LIN, True), (Strategy.GEO, False), (Strategy.GEO_JUMP, True)])
+    def test_largest_representable_control_runs(self, strategy, collective):
+        """h_i = 1.3e154 keeps a^2 + d^2 finite: the run is accepted and its
+        p_k and err_k are finite, with no floating-point warning."""
+        cfg = ising_cfg(10.0, 1e-2, strategy, nkicks=3, n_spins=10, h_i=1.3e154,
+                        collective=collective)
+        result, err = run_chain(cfg, track_err=True)
+        assert np.all(np.isfinite(result.pk)) and np.all(np.isfinite(err))
 
 
 class TestEvolveModes:
@@ -447,3 +472,130 @@ class TestIndependentPaths:
             cfg = ChainConfig(10, Regime.ANISOTROPY, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-3,
                               strategy=strategy, kicks=kicks, collective_geodesic=False)
             run_chain(cfg)
+
+
+def _thread_case(case, n_spins):
+    """One run per driving, T = 10.0007 (3 chunks and a remainder)."""
+    T, dt = 10.0007, 1e-3
+    if case == "per-mode-geo-anisotropy":
+        return ChainConfig(n_spins, Regime.ANISOTROPY, -1.0, 1.0, 0.5, 0.5, T, dt,
+                           strategy=Strategy.GEO, collective_geodesic=False)
+    strategy, nkicks, width = {
+        "lin": (Strategy.LIN, 0, None),
+        "collective-geo": (Strategy.GEO, 0, None),
+        "single-sample-kicks": (Strategy.GEO_JUMP, 7, dt),
+        "finite-width-kicks": (Strategy.GEO_JUMP, 5, 2.3 * dt),
+    }[case]
+    return ising_cfg(T, dt, strategy, nkicks=nkicks, width=width, n_spins=n_spins)
+
+
+class TestThreads:
+    """Contiguous mode blocks on threads give the bits of the serial run."""
+
+    @pytest.mark.parametrize("n_spins", [6, 14, 20])
+    @pytest.mark.parametrize("case", ["lin", "collective-geo", "per-mode-geo-anisotropy",
+                                      "single-sample-kicks", "finite-width-kicks"])
+    def test_bitwise_equal_for_any_thread_count(self, case, n_spins):
+        """M = 3 (one block at any count), 7 (divisible by neither 2 nor 3)
+        and 10; no thread outlives run_chain."""
+        cfg = _thread_case(case, n_spins)
+        before = threading.active_count()
+        runs = [run_chain(cfg, track_err=True, threads=t) for t in (1, 2, 3)]
+        assert threading.active_count() == before
+        (ref, ref_err), rest = runs[0], runs[1:]
+        for result, err in rest:
+            assert result.pk.tobytes() == ref.pk.tobytes()
+            assert result.n_defect.hex() == ref.n_defect.hex()
+            assert err.tobytes() == ref_err.tobytes()
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        """8 blocks on a 1e-6 s switch interval: the blocks share only
+        read-only tables, so the bits stay those of the serial run."""
+        cfg = _thread_case("collective-geo", 40)
+        ref = evolve_modes(cfg, track_err=True, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = evolve_modes(cfg, track_err=True, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("nmodes,threads,cpus,widths", [
+        (3, 3, 2, [3]),
+        (7, 2, 2, [3, 4]),
+        (7, 3, 2, [2, 2, 3]),
+        (7, 8, 2, [2, 2, 3]),
+        (10, None, 2, [5, 5]),
+        (10, None, 1, [10]),
+        (1, 4, 4, [1]),
+    ])
+    def test_blocks_are_contiguous_and_at_least_two_modes_wide(
+            self, nmodes, threads, cpus, widths, monkeypatch):
+        """min(threads, M // 2) blocks in mode order; threads=None takes the
+        usable CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        seen, block = [], freefermion._evolve_block
+
+        def spy(cfg, fn, layout, cols, track_err):
+            seen.append(cols)
+            return block(cfg, fn, layout, cols, track_err)
+
+        monkeypatch.setattr(freefermion, "_evolve_block", spy)
+        ks = momentum_grid(2 * nmodes)
+        U, _ = evolve_modes(_thread_case("lin", 2 * nmodes), ks, threads=threads)
+        seen.sort(key=lambda c: c.start)
+        assert [c.stop - c.start for c in seen] == widths
+        assert [c.start for c in seen] == [0] + [c.stop for c in seen[:-1]]
+        assert U.shape == (nmodes, 2, 2)
+
+    @pytest.mark.parametrize("bad,reported", [
+        ([(5000, 0), (4500, 6), (4500, 4), (8500, 1)], (4500, 4)),
+        ([(5000, 0), (300, 6)], (300, 6)),
+        ([(4096, 0), (4095, 5)], (4095, 5)),
+    ])
+    def test_non_finite_control_names_the_serial_row_and_mode(self, bad, reported,
+                                                             monkeypatch):
+        """A sampler that puts NaN at the given (row, mode) entries of a
+        9000-step, 7-mode run: every thread count reports the smallest row,
+        then the smallest global mode index, as the serial run does."""
+        build = freefermion._bloch_components
+
+        def poisoned(cfg, ks):
+            fn = build(cfg, ks)
+
+            def sample(frac, cols=slice(None)):
+                a, d = fn(frac, cols)
+                a = a.copy()
+                rows = np.rint(frac * cfg.T / cfg.dt_eff - 0.5).astype(int)
+                modes = np.arange(len(ks))[cols]
+                for row, mode in bad:
+                    a[(rows == row)[:, None] & (modes == mode)[None, :]] = np.nan
+                return a, d
+
+            return sample
+
+        monkeypatch.setattr(freefermion, "_bloch_components", poisoned)
+        cfg = ising_cfg(9.0, 1e-3, Strategy.LIN, n_spins=14)
+        for threads in (1, 2, 3):
+            with pytest.raises(RuntimeError) as info:
+                run_chain(cfg, track_err=True, threads=threads)
+            assert str(info.value) == \
+                "non-finite control at row %d, mode index %d" % reported
+
+
+class TestUsableCpus:
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert freefermion._usable_cpus() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+        assert freefermion._usable_cpus() == 3
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert freefermion._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert freefermion._usable_cpus() == 1
