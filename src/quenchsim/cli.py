@@ -245,17 +245,16 @@ def _defect_task(cell: tuple, track_err: bool = False, threads: int | None = Non
 _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect"]
 
 
-def _run_cells(cells: list[tuple], workers: int) -> list[tuple]:
+def _run_cells(cells: list[tuple], workers: int, track_err: bool = False) -> list[tuple]:
     """Run the cells in order, in process on every usable CPU, or in a pool
-    whose workers share the CPUs out as threads (at least one each)."""
+    whose workers share the CPUs out as threads (at least one each); returns
+    each cell's (defect row, DefectResult, per-mode error or None)."""
     if workers == 1 or len(cells) == 1:
-        results = [_defect_task(c) for c in cells]
-    else:
-        size = min(workers, len(cells))
-        with Pool(size) as pool:
-            results = pool.map(partial(_defect_task, threads=max(1, _usable_cpus() // size)),
-                               cells)
-    return [row for row, _, _ in results]
+        return [_defect_task(c, track_err) for c in cells]
+    size = min(workers, len(cells))
+    with Pool(size) as pool:
+        return pool.map(partial(_defect_task, track_err=track_err,
+                                threads=max(1, _usable_cpus() // size)), cells)
 
 
 def _run_table(ns: argparse.Namespace) -> int:
@@ -278,25 +277,21 @@ def _run_table(ns: argparse.Namespace) -> int:
                   for w in (cfg["pulse_width"] if s == Strategy.GEO_JUMP else [0.0])]
     else:
         combos = [(cfg["strategy"], cfg["kicks"], cfg["pulse_width"])]
-    cells = _chain_cells(cfg, combos, rates)
-    if modes_out:
-        # one run gives the defect row and the mode table: p_k does not
-        # depend on track_err
-        row, result, err = _defect_task(cells[0], track_err=True)
-        rows = [row]
-    else:
-        rows = _run_cells(cells, workers)
-    _atomic_write(cfg["out"], _SWEEP_HEADER, rows)
+    # with --modes-out one run gives the defect row and the mode table: p_k
+    # does not depend on track_err
+    results = _run_cells(_chain_cells(cfg, combos, rates), workers, track_err=bool(modes_out))
+    _atomic_write(cfg["out"], _SWEEP_HEADER, [row for row, _, _ in results])
     resolved = dict(cfg)
     resolved["rates"] = [float(r) for r in rates]
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if modes_out:
+        _, result, err = results[0]
         _atomic_write(modes_out, ["k", "p_k", "err_k"],
                       zip(*(map(float, c) for c in (result.ks, result.pk, err))))
         _write_manifest(modes_out, resolved)
         written.append(modes_out)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
+    print(f"wrote {', '.join(written)} ({len(results)} rows)")
     return 0
 
 
@@ -431,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if len(set(written)) < len(written):
             raise ValueError(f"--out {out} and --modes-out {modes_out} would overwrite each other")
         return ns.func(ns)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy: "Unable to allocate ..."
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

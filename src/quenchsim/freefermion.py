@@ -47,13 +47,14 @@ import enum
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 from .schedules import KickTrain, Run, Strategy, xy_geodesic_schedule
 from .su2 import _CHUNK, _err_terms, _ordered_product, _quat_identity, _quat_mul
-from .su2 import _quat_steps, _quat_to_unitary
+from .su2 import _quat_steps, _quat_to_unitary, expm_bloch_batch
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
 _RAMP_PTS = 20001
@@ -118,16 +119,18 @@ class ChainConfig(Run):
 
     Gamma regimes (anisotropy, gapless) sweep gamma_i -> gamma_f at fixed
     h = h_i = h_f; the Ising regime sweeps h_i -> h_f at gamma = 1.  control
-    gives the varying control's endpoints (p_i, p_f) and params(p) the
-    (gamma, h) at control value p; every ramp of the control, linear or
-    collective, is a sampler of that map.  For the
-    geodesic strategy, collective_geodesic selects one shared control ramp
-    with constant speed under the summed mode metric (default) instead of an
+    gives the varying control's endpoints (p_i, p_f), and generator(p, s, c)
+    the (a, d) of the modes with sin k = s, cos k = c at control value p;
+    every ramp of the control samples that one map.  For the geodesic
+    strategy, collective_geodesic selects one shared control ramp with
+    constant speed under the summed mode metric (default) instead of an
     independent constant-speed schedule per mode.  The step grid and the
-    checks on T, dt and kicks come from schedules.Run.  A control whose
-    generator a^2 + d^2 overflows on some mode at either end, and so on the
-    path between them, is rejected, as is a run on per-mode geodesics with
-    h = cos k on some mode: both fail before evolving.
+    checks on T, dt and kicks come from schedules.Run.  Rejected before
+    evolving: a control whose generator a^2 + d^2 overflows on some mode at
+    either end, and so on the path between them; per-mode geodesics with
+    h = cos k on some mode; and a collective geodesic whose (a^2 + d^2)^2
+    overflows at either end, or on which some mode's (a, d) passes through
+    (0, 0), where the gap closes and the summed metric diverges.
     """
 
     n_spins: int
@@ -164,13 +167,23 @@ class ChainConfig(Run):
         # collective ramps move the control monotonically, and a per-mode
         # geodesic moves theta along an arc that crosses no tan pole
         name, s, c = "h" if self.varies_h else "gamma", np.sin(ks), np.cos(ks)
-        for end, p in zip("if", self.control):
-            gamma, h = self.params(p)
-            a, d = h - c, gamma * s
+        collective = self.strategy is Strategy.GEO and self.collective_geodesic
+        ends = [self.generator(p, s, c) for p in self.control]
+        for end, p, (a, d) in zip("if", self.control, ends):
             with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(a * a + d * d)):
+                e2 = a * a + d * d
+                if not np.all(np.isfinite(e2)):
                     raise ValueError(f"{name}_{end}={p} is too large: the generator "
                                      "a^2 + d^2 overflows")
+                if collective and not np.all(np.isfinite(e2 * e2)):
+                    raise ValueError(f"{name}_{end}={p} is too large for the collective "
+                                     "geodesic: (a^2 + d^2)^2 overflows")
+        # (a, d) is affine in the control: a collective path is the segment between its ends
+        (a_i, d_i), (a_f, d_f) = ends
+        closed = (a_i * d_f == a_f * d_i) & (a_i * a_f + d_i * d_f <= 0)
+        if collective and np.any(closed):
+            raise ValueError(f"the gap closes at k={float(ks[np.argmax(closed)])!r} between "
+                             f"{name}_i and {name}_f: no collective geodesic crosses it")
         if self.on_mode_geodesics:
             _mode_geodesic_angles(self, ks)
 
@@ -189,14 +202,11 @@ class ChainConfig(Run):
         """(p_i, p_f) of the varying control: h on the Ising line, gamma otherwise."""
         return (self.h_i, self.h_f) if self.varies_h else (self.gamma_i, self.gamma_f)
 
-    def params(self, p):
-        """(gamma, h) at control value p (scalar or array)."""
-        return (self.gamma_i, p) if self.varies_h else (p, self.h_i)
-
-    def params_at(self, frac):
-        """(gamma, h) under the *linear* ramp at scaled time frac in [0, 1]."""
-        p_i, p_f = self.control
-        return self.params(p_i + (p_f - p_i) * np.asarray(frac, dtype=float))
+    def generator(self, p, s, c):
+        """(a, d) = (h - cos k, gamma sin k) at control value p on the modes
+        with sin k = s and cos k = c (arrays broadcast): H_k = -2 (a Z + d X)."""
+        gamma, h = (self.gamma_i, p) if self.varies_h else (p, self.h_i)
+        return h - c, gamma * s
 
 
 @dataclass
@@ -221,8 +231,7 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
     s, c = np.sin(ks), np.cos(ks)
     p_i, p_f = cfg.control
     grid = np.linspace(min(p_i, p_f), max(p_i, p_f), _RAMP_PTS)
-    gamma, h = cfg.params(grid[:, None])
-    a, d = h - c, gamma * s
+    a, d = cfg.generator(grid[:, None], s, c)
     e2 = a * a + d * d
     # (e2 dtheta/dp)^2: d^2 when h varies, (a sin k)^2 when gamma does
     g = 0.25 * (d if cfg.varies_h else a * s) ** 2 / (e2 * e2)
@@ -250,10 +259,11 @@ def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray,
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
     """Return fn(frac (S,), cols=slice(None)) -> (a, d) arrays of shape
     (S, len(ks[cols])), where H_k = -2 (a Z + d X), on the path of cfg's
-    strategy: the linear or the collective arc-length ramp of the varying
-    control, or the per-mode geodesics (per-mode GEO, and the kick angles of
+    strategy: the per-mode geodesics (per-mode GEO, and the kick angles of
     GEO_JUMP), on which the mixing angle of each mode is affine in the
-    scaled time frac.  cols picks a contiguous block of modes; the tables
+    scaled time frac, or else cfg.generator at the varying control that a
+    ramp of frac gives, the linear p_i + (p_f - p_i) frac or the collective
+    arc-length ramp.  cols picks a contiguous block of modes; the tables
     behind fn are built once, here, for all of them."""
     s, c = np.sin(ks), np.cos(ks)
     if cfg.on_mode_geodesics:
@@ -271,21 +281,21 @@ def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
             return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
 
         return geodesic
-    # the varying control: the collective arc-length ramp, or the linear one
-    ramp = collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO else None
+    p_i, p_f = cfg.control
+    ramp = (collective_geodesic_ramp(cfg) if cfg.strategy is Strategy.GEO
+            else lambda frac: p_i + (p_f - p_i) * frac)
 
     def fn(frac, cols=slice(None)):
-        frac = frac[:, None]
-        gamma, h = cfg.params(ramp(frac)) if ramp else cfg.params_at(frac)
-        return np.broadcast_arrays(h - c[cols], gamma * s[cols])
+        return np.broadcast_arrays(*cfg.generator(ramp(frac[:, None]), s[cols], c[cols]))
 
     return fn
 
 
 def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Time-ordered product over kicks of exp(+i pi E_j n_j.sigma) for
-    H_j = -2 (a_j Z + d_j X) and pulse area pi/2; a, d have shape (n_kicks, M)."""
-    return _quat_to_unitary(_ordered_product(_quat_steps(a, d, np.pi / 2)))
+    H_j = -2 (a_j Z + d_j X) and pulse area pi/2, a and d of shape (n_kicks, M),
+    on complex 2x2 steps: it shares no code with the engine's quaternion kernel."""
+    return reduce(lambda U, step: step @ U, expm_bloch_batch(-2.0 * d, 0.0, -2.0 * a, np.pi / 2))
 
 
 class _NonFiniteControl(RuntimeError):

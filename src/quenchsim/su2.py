@@ -9,7 +9,8 @@ propagator exp(-i H dt) of each step is closed form, through cos/sin of
 |H| dt, so no loop touches a generic matrix exponential.
 
 Besides the quaternion kernel only expm_bloch_batch, the complex 2x2 form
-of the same step, lives here, for the benchmark tracer.
+of the same step, lives here: freefermion._kick_product multiplies these
+steps into the rate-free kick reference, apart from the quaternion kernel.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
 
     dx, dy, dz broadcast to a common shape S; returns an (S..., 2, 2) complex
     array of unitaries.  Entries with |d| = 0 yield exact identities.
-    The engines do not call it (they step on the quaternion kernel below);
-    it stays because the benchmark tracer, perfbench/tracer.py, wraps it by
-    name and its self-test requires the name to exist.
+    The engines step on the quaternion kernel below instead; the rate-free
+    kick reference, freefermion._kick_product, multiplies these steps.
     """
     dx, dy, dz = np.broadcast_arrays(np.asarray(dx, float), np.asarray(dy, float), np.asarray(dz, float))
     r = np.sqrt(dx * dx + dy * dy + dz * dz)

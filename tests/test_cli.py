@@ -485,8 +485,11 @@ class TestInputChecks:
          "x_i=-10.0 with eps=1e+200 is too large: the generator x^2 + eps^2 overflows"),
         (["lz", "--x", "-10", "1e160", "--T", "1", "--dt", "1e-3", "--strategy", "geo"],
          "x_f=1e+160 with eps=0.1 is too large: the generator x^2 + eps^2 overflows"),
+        (["chain", "--h", "1e100", "0", "--rates", "0.1", "--spins", "10", "--dt", "1e-2",
+          "--strategy", "geo"],
+         "h_i=1e+100 is too large for the collective geodesic: (a^2 + d^2)^2 overflows"),
     ], ids=["chain-lin", "chain-geo", "chain-geojump", "chain-anisotropy-mode-geo",
-            "lz-eps", "lz-x"])
+            "lz-eps", "lz-x", "chain-geo-metric"])
     def test_overflowing_control_exits_2_before_evolving(self, args, message, tmp_path,
                                                          capsys, monkeypatch):
         """A control whose generator overflows would step on inf and write
@@ -495,6 +498,22 @@ class TestInputChecks:
         monkeypatch.setattr(cli, "evolve_lz", _fail)
         assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_collective_geodesic_through_closed_gap_exits_2_before_evolving(
+            self, tmp_path, capsys, monkeypatch):
+        """h = cos(3 pi/10) exactly at N = 10 while gamma crosses 0: that
+        mode's gap closes on the path, where the collective ramp would divide
+        0 by 0."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        code = cli.main(["chain", "--regime", "anisotropy", "--h", "0.5877852522924731",
+                         "0.5877852522924731", "--gamma", "-1", "1", "--strategy", "geo",
+                         "--rates", "1", "--spins", "10", "--dt", "1e-2",
+                         "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the gap closes at k=0.9424777960769379 between gamma_i and gamma_f: "
+            "no collective geodesic crosses it\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["chain", "sweep"])
@@ -554,6 +573,18 @@ class TestExitCodes:
 
         assert cli.main(["lz", "--T", "1.0"]) == 3
         assert parser_backup is cli.build_parser
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        """numpy's allocation failure is a MemoryError: a message, no traceback."""
+        message = "Unable to allocate 7.45 GiB for an array with shape (1000000001,)"
+
+        def oom(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "evolve_lz", oom)
+        assert cli.main(["lz", "--T", "1e5", "--dt", "1e-6", "-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_validation_failure_maps_to_2(self, tmp_path):
         assert cli.main(["chain", "--spins", "8", "--dt", "1e-3",

@@ -148,6 +148,44 @@ class TestConfigValidation:
         result, err = run_chain(cfg, track_err=True)
         assert np.all(np.isfinite(result.pk)) and np.all(np.isfinite(err))
 
+    @pytest.mark.parametrize("regime,gamma,h,field", [
+        (Regime.ISING, (1.0, 1.0), (1e100, 0.0), "h_i=1e+100"),
+        (Regime.ISING, (1.0, 1.0), (10.0, -1e80), "h_f=-1e+80"),
+        (Regime.ANISOTROPY, (1.0, 1e100), (0.5, 0.5), "gamma_f=1e+100"),
+    ])
+    def test_collective_geodesic_overflowing_metric_rejected(self, regime, gamma, h, field):
+        """The collective ramp divides by (a^2 + d^2)^2, which overflows past
+        |a| ~ 1e77 although a^2 + d^2 stays finite; the other drivings take
+        the same control."""
+        with pytest.raises(ValueError) as info:
+            ChainConfig(10, regime, *gamma, *h, 1.0, 1e-2, strategy=Strategy.GEO)
+        assert str(info.value) == (f"{field} is too large for the collective geodesic: "
+                                   "(a^2 + d^2)^2 overflows")
+        for strategy, collective in ((Strategy.LIN, True), (Strategy.GEO, False)):
+            ChainConfig(10, regime, *gamma, *h, 1.0, 1e-2, strategy=strategy,
+                        collective_geodesic=collective)
+
+    @pytest.mark.parametrize("gamma", [(-1.0, 1.0), (1.0, -1.0), (0.0, 1.0), (-2.0, 0.0)])
+    def test_collective_geodesic_through_closed_gap_rejected(self, gamma):
+        """Anisotropy at h = cos k on the grid (k = 3 pi/10 at N = 10): a gamma
+        that reaches or crosses 0 takes that mode's (a, d) through (0, 0)."""
+        k = float(momentum_grid(10)[1])
+        with pytest.raises(ValueError) as info:
+            ChainConfig(10, Regime.ANISOTROPY, *gamma, math.cos(k), math.cos(k), 1.0, 1e-2,
+                        strategy=Strategy.GEO)
+        assert str(info.value) == (f"the gap closes at k={k!r} between gamma_i and gamma_f: "
+                                   "no collective geodesic crosses it")
+
+    @pytest.mark.parametrize("gamma,h,strategy", [
+        ((-1.0, 1.0), 0.0, Strategy.GEO),  # a = -6e-17 at k = pi/2: the gap stays open
+        ((0.2, 1.5), math.cos(3 * math.pi / 10), Strategy.GEO),  # gamma keeps its sign
+        ((-1.0, 1.0), math.cos(3 * math.pi / 10), Strategy.LIN),  # no metric to sum
+    ])
+    def test_paths_past_or_off_a_closed_gap_run(self, gamma, h, strategy):
+        cfg = ChainConfig(10, Regime.ANISOTROPY, *gamma, h, h, 1.0, 1e-2, strategy=strategy)
+        result, err = run_chain(cfg, track_err=True)
+        assert np.all(np.isfinite(result.pk)) and np.all(np.isfinite(err))
+
 
 class TestEvolveModes:
     def test_short_time_linear_is_identity(self):

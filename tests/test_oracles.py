@@ -2,6 +2,7 @@
 independence of the oracles."""
 
 import ast
+import re
 from pathlib import Path
 
 import quenchsim
@@ -31,7 +32,6 @@ PINNED_BY_BENCHMARK = [
     "freefermion._phase_ramp",
     "freefermion.evolve_mode_kicks_exact",
     "landau_zener._phase_ramp",
-    "su2.expm_bloch_batch",
 ]
 
 
@@ -84,3 +84,21 @@ def test_no_dead_code_in_the_package():
                               and not (m.name.startswith("__") and m.name.endswith("__"))]
                 unused += [f"{module}.{name}" for name in names if name not in used]
     assert sorted(unused) == PINNED_BY_BENCHMARK
+
+
+def test_every_pin_is_still_used_by_the_benchmark():
+    """A pinned name stays pinned only while perfbench/ reaches it: as a span
+    ("quenchsim.mod", "name", ...) of perfbench/tracer.py, or as a name that
+    a perfbench/ source imports from quenchsim.mod.  Once the benchmark
+    drops it, this fails until the name leaves the package too."""
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    tracer = (perfbench / "tracer.py").read_text()
+    imported = set()
+    for path in perfbench.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("quenchsim."):
+                imported |= {f"{node.module[len('quenchsim.'):]}.{alias.name}"
+                             for alias in node.names}
+    stale = [pin for pin in PINNED_BY_BENCHMARK if pin not in imported and not re.search(
+        r'\(\s*"quenchsim\.{}",\s*"{}"'.format(*map(re.escape, pin.split("."))), tracer)]
+    assert stale == []

@@ -48,19 +48,20 @@ def lz_field(x_i, x_f, eps, frac):
 
 
 class TestLinearSchedule:
-    """The linear ramp is ChainConfig.params_at, at scaled time t/T."""
+    """The linear ramp, as the engine's sampler puts it on a mode (k = 1),
+    at scaled time t/T."""
 
     def test_midpoint(self):
-        assert ising(10.0, 0.0, 1.0).params_at(0.5)[1] == pytest.approx(5.0)
+        assert mode_params(ising(10.0, 0.0, 1.0), 1.0, 0.5)[1][0] == pytest.approx(5.0)
 
     def test_endpoint(self):
         cfg = ising(-10.0, 10.0, 3.0)
-        assert cfg.params_at(3.0 / 3.0)[1] == pytest.approx(10.0)
-        assert cfg.params_at(0.0)[1] == pytest.approx(-10.0)
+        assert mode_params(cfg, 1.0, 3.0 / 3.0)[1][0] == pytest.approx(10.0)
+        assert mode_params(cfg, 1.0, 0.0)[1][0] == pytest.approx(-10.0)
 
     def test_affine(self):
         cfg = ChainConfig(4, Regime.ANISOTROPY, -1.0, 2.0, 0.5, 0.5, 2.0, 1e-3)
-        gamma = lambda t: cfg.params_at(t / 2.0)[0]
+        gamma = lambda t: mode_params(cfg, 1.0, t / 2.0)[0][0]
         assert gamma(0.3 * 2.0) + gamma(0.7 * 2.0) == pytest.approx(-1.0 + 2.0)
 
     def test_rejects_nonpositive_T(self):
