@@ -27,9 +27,11 @@ pulses in; the run is the only holder of T.  One loop, evolve_modes, runs
 them all on the quaternion kernel of su2, which the Landau-Zener engine
 shares: its rows are every grid step of a continuous drive or the layout's
 entries of a kicked one, reduced by a time-ordered tree product per chunk of
-rows.  The adiabaticity error is summed from su2._err_terms over the same
-rows; the frozen stretch before a kicked row that does not follow its
-predecessor, and after the last one, is a segment with no phase growth.
+rows.  A chunk's steps are one (4, rows, modes) array, a contiguous slab per
+quaternion component, and each block carries its product as (4, modes).
+The adiabaticity error is summed from su2._err_terms over the same rows; the
+frozen stretch before a kicked row that does not follow its predecessor, and
+after the last one, is a segment with no phase growth.
 Modes never mix, so evolve_modes splits them into contiguous blocks of at
 least two modes and runs the chunk loop of each block on its own thread
 (numpy releases the GIL inside its ufuncs); the blocks share the cell's
@@ -58,6 +60,7 @@ from .su2 import _quat_steps, _quat_to_unitary, expm_bloch_batch
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
 _RAMP_PTS = 20001
+_RAMP_BLOCK = 1024
 
 
 def _usable_cpus() -> int:
@@ -231,11 +234,17 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
     s, c = np.sin(ks), np.cos(ks)
     p_i, p_f = cfg.control
     grid = np.linspace(min(p_i, p_f), max(p_i, p_f), _RAMP_PTS)
-    a, d = cfg.generator(grid[:, None], s, c)
-    e2 = a * a + d * d
-    # (e2 dtheta/dp)^2: d^2 when h varies, (a sin k)^2 when gamma does
-    g = 0.25 * (d if cfg.varies_h else a * s) ** 2 / (e2 * e2)
-    w = np.sqrt(g.sum(axis=1))
+    w = np.empty(_RAMP_PTS)
+    # blocks of grid rows bound the (rows, M) tables; each row sums along
+    # its own contiguous axis, so the blocking does not change w
+    for lo in range(0, _RAMP_PTS, _RAMP_BLOCK):
+        a, d = cfg.generator(grid[lo : lo + _RAMP_BLOCK, None], s, c)
+        e2 = a * a + d * d
+        # (e2 dtheta/dp)^2: d^2 when h varies, (a sin k)^2 when gamma does
+        num = 0.25 * (d if cfg.varies_h else a * s) ** 2
+        # a term that is exactly 0 stays 0 where (a^2 + d^2)^2 underflows
+        g = np.divide(num, e2 * e2, out=np.zeros(e2.shape), where=num != 0)
+        w[lo : lo + _RAMP_BLOCK] = np.sqrt(g.sum(axis=1))
     arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
 
     def ramp(frac):
@@ -344,14 +353,14 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
             # the serial run's error: the smallest (row, mode) of any block
             raise min(failed, key=lambda e: getattr(e, "at", (-1, -1)))
         parts = [f.result() for f in futures]
-    U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts]))
+    U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts], axis=1))
     return U, (np.concatenate([err for _, err in parts]) if track_err else None)
 
 
 def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err: bool):
     """The chunk loop of evolve_modes on the modes cols of fn's grid, over
     every grid step, or over the kick layout (cfg.layout()) when it is not
-    None; returns (quaternions (Mb, 4), err (Mb,) or None)."""
+    None; returns (quaternions (4, Mb), err (Mb,) or None)."""
     nmodes = cols.stop - cols.start
     dt = cfg.dt_eff
     dlam = dt / cfg.T

@@ -17,10 +17,11 @@ Time stepping is piecewise-constant with midpoint-sampled parameters and the
 closed-form step propagator, on the same quaternion kernel as the chain
 (su2): H = dx X + dz Z is the chain's -2 (a Z + d X) with a = -dz/2 and
 d = -dx/2.  The propagator to every node comes from a log-depth prefix
-product of the step quaternions, so no Python loop runs over steps and the
-state norm is preserved to rounding.  A run records four diagnostics along
-the way: fidelity against the final ground state, the instantaneous gap of
-the full (envelope-included) generator, the accumulated
+product of the (4, steps) step quaternions of each chunk, component axis
+first, so no Python loop runs over steps; each prefix is put back on
+|q| = 1, so the state norm is preserved to rounding.  A run records four
+diagnostics along the way: fidelity against the final ground state, the
+instantaneous gap of the full (envelope-included) generator, the accumulated
 dynamical-phase-difference factor e^{i phi}, and the adiabaticity error
 |integral of e^{i phi} d lambda|.  For a kicked run the gap at node i is
 2 * amplitude of step i: nonzero exactly at the steps the layout fills.
@@ -132,7 +133,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     ph_re[0], ph_im[0] = 1.0, 0.0
     err[0] = 0.0
 
-    carry = _quat_identity(1)[0]
+    carry = _quat_identity(1)[:, 0]
     phase = 0.0
     integral = 0.0 + 0.0j
     for start in range(0, n, _CHUNK):
@@ -142,7 +143,8 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         prefix = _prefix_product(_quat_steps(-cz / 2, -cx / 2, dt), carry)
         # back onto |q| = 1: reassociated products drift the norm
         # systematically (-7.9e-12 over 1e6 steps of a linear sweep)
-        prefix /= np.sqrt((prefix * prefix).sum(axis=1, keepdims=True))
+        q0, q1, q2, q3 = prefix
+        prefix /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
         states = _quat_to_unitary(prefix) @ psi0
         psi = states[-1]
         if not np.all(np.isfinite(psi.view(float))):
@@ -157,6 +159,6 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         ph_re[sl] = np.cos(phi[1:])
         ph_im[sl] = np.sin(phi[1:])
         err[sl] = np.abs(integral_nodes)
-        carry, phase, integral = prefix[-1], phi[-1], integral_nodes[-1]
+        carry, phase, integral = prefix[:, -1], phi[-1], integral_nodes[-1]
 
     return Trajectory(times, fid, gap, ph_re, ph_im, err, psi)

@@ -6,7 +6,10 @@ below: step quaternions, their time-ordered product (a tree reduction, or
 every prefix of it for a trajectory) and the adiabaticity-error terms
 e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.  The
 propagator exp(-i H dt) of each step is closed form, through cos/sin of
-|H| dt, so no loop touches a generic matrix exponential.
+|H| dt, so no loop touches a generic matrix exponential.  A quaternion
+array has its component axis first, (4, ...): a chunk of steps is
+(4, S, M) and a carried product (4, M), so every ufunc of the kernel runs
+over one contiguous (S, M) slab per component.
 
 Besides the quaternion kernel only expm_bloch_batch, the complex 2x2 form
 of the same step, lives here: freefermion._kick_product multiplies these
@@ -45,16 +48,17 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
 # quaternion kernel for traceless generators H = -2 (a Z + d X)
 # ---------------------------------------------------------------------------
 
-# SU(2) elements are held as real quaternions (..., 4):
-# U = q0 I + i (q1 X + q2 Y + q3 Z).  Composition then costs 16 real
-# multiplies on float arrays instead of batched complex 2x2 products.
-# Engines feed steps in chunks of _CHUNK; the tree product's bits depend on
-# where the chunks end, so changing it changes results in the last place.
+# SU(2) elements are held as real quaternions, component axis first (4, ...):
+# U = q[0] I + i (q[1] X + q[2] Y + q[3] Z).  Composition then costs 16 real
+# multiplies on contiguous component slabs instead of batched complex 2x2
+# products.  Engines feed steps in chunks of _CHUNK; the tree product's bits
+# depend on where the chunks end, so changing it changes results in the
+# last place.
 _CHUNK = 4096
 
 
 def _quat_steps(a: np.ndarray, d: np.ndarray, dt) -> np.ndarray:
-    """Step quaternions for exp(-i H dt), H = -2 (a Z + d X); shapes (..., 4).
+    """Step quaternions for exp(-i H dt), H = -2 (a Z + d X); shape (4,) + a.shape.
 
     dt is one step for all rows, or an array of per-row areas broadcasting
     against a.  A generator H = dx X + dz Z is the case a = -dz/2,
@@ -64,75 +68,91 @@ def _quat_steps(a: np.ndarray, d: np.ndarray, dt) -> np.ndarray:
     r = np.sqrt(a * a + d * d)
     r *= 2.0
     ang = r * dt
-    q = np.empty(a.shape + (4,))
-    q[..., 0] = np.cos(ang)
+    q = np.empty((4,) + a.shape)
+    np.cos(ang, out=q[0])
+    f = np.sin(ang, out=ang)
     with np.errstate(invalid="ignore", divide="ignore"):
-        f = np.sin(ang) / r
+        f /= r
     zero = r == 0.0
     if np.any(zero):
         f[zero] = np.broadcast_to(dt, f.shape)[zero]  # sin(r dt)/r -> dt as r -> 0
     f *= 2.0
-    q[..., 1] = f * d
-    q[..., 2] = 0.0
-    q[..., 3] = f * a
+    np.multiply(f, d, out=q[1])
+    q[2] = 0.0
+    np.multiply(f, a, out=q[3])
     return q
 
 
 def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(p0 + i p.sigma)(q0 + i q.sigma) = (p0 q0 - p.q) + i(p0 q + q0 p - p x q).sigma."""
-    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-    out[..., 1] = p0 * q1 + q0 * p1 - (p2 * q3 - p3 * q2)
-    out[..., 2] = p0 * q2 + q0 * p2 - (p3 * q1 - p1 * q3)
-    out[..., 3] = p0 * q3 + q0 * p3 - (p1 * q2 - p2 * q1)
+    """(p0 + i p.sigma)(q0 + i q.sigma) = (p0 q0 - p.q) + i(p0 q + q0 p - p x q).sigma.
+
+    p and q are (4, ...) and broadcast past the component axis.  Each
+    component is built in place in the fixed association
+    ((p0 q0 - p1 q1) - p2 q2) - p3 q3 and (p0 qi + q0 pi) - (pj qk - pk qj),
+    with two scratch slabs, so its bits do not depend on the layout.
+    """
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    shape = np.broadcast_shapes(p0.shape, q0.shape)
+    out = np.empty((4,) + shape)
+    t, u = np.empty(shape), np.empty(shape)
+    o = np.multiply(p0, q0, out=out[0])
+    for pk, qk in ((p1, q1), (p2, q2), (p3, q3)):
+        o -= np.multiply(pk, qk, out=t)
+    for o, pi, qi, pj, qj, pk, qk in ((out[1], p1, q1, p2, q2, p3, q3),
+                                      (out[2], p2, q2, p3, q3, p1, q1),
+                                      (out[3], p3, q3, p1, q1, p2, q2)):
+        np.multiply(p0, qi, out=o)
+        o += np.multiply(q0, pi, out=t)
+        np.multiply(pj, qk, out=t)
+        t -= np.multiply(pk, qj, out=u)
+        o -= t
     return out
 
 
 def _quat_identity(nmodes: int) -> np.ndarray:
-    q = np.zeros((nmodes, 4))
-    q[:, 0] = 1.0
+    q = np.zeros((4, nmodes))
+    q[0] = 1.0
     return q
 
 
 def _quat_to_unitary(q: np.ndarray) -> np.ndarray:
-    """(..., 4) quaternions -> (..., 2, 2) complex unitaries."""
-    out = np.empty(q.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = q[..., 0] + 1j * q[..., 3]
-    out[..., 1, 1] = q[..., 0] - 1j * q[..., 3]
-    out[..., 0, 1] = q[..., 2] + 1j * q[..., 1]
-    out[..., 1, 0] = -q[..., 2] + 1j * q[..., 1]
+    """(4, ...) quaternions -> (..., 2, 2) complex unitaries."""
+    out = np.empty(q.shape[1:] + (2, 2), dtype=complex)
+    out[..., 0, 0] = q[0] + 1j * q[3]
+    out[..., 1, 1] = q[0] - 1j * q[3]
+    out[..., 0, 1] = q[2] + 1j * q[1]
+    out[..., 1, 0] = -q[2] + 1j * q[1]
     return out
 
 
 def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """Reduce (S, M, 4) step quaternions to the time-ordered product
-    steps[S-1] * ... * steps[0] per mode, by pairwise tree contraction
+    """Reduce (4, S, M) step quaternions to the (4, M) time-ordered product
+    steps[:, S-1] * ... * steps[:, 0] per mode, by pairwise tree contraction
     (log(S) batched products instead of S Python-level ones)."""
-    while steps.shape[0] > 1:
-        s = steps.shape[0]
+    while steps.shape[1] > 1:
+        s = steps.shape[1]
         half = s // 2
-        merged = _quat_mul(steps[1 : 2 * half : 2], steps[0 : 2 * half : 2])
+        merged = _quat_mul(steps[:, 1 : 2 * half : 2], steps[:, 0 : 2 * half : 2])
         if s % 2:
-            steps = np.concatenate([merged, steps[-1:]], axis=0)
+            steps = np.concatenate([merged, steps[:, -1:]], axis=1)
         else:
             steps = merged
-    return steps[0]
+    return steps[:, 0]
 
 
 def _prefix_product(steps: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """All time-ordered prefix products steps[j] * ... * steps[0] * carry,
-    j = 0..S-1, of (S, ..., 4) step quaternions.
+    """All time-ordered prefix products steps[:, j] * ... * steps[:, 0] * carry,
+    j = 0..S-1, of (4, S, ...) step quaternions.
 
     Log-depth doubling scan (Blelloch, Prefix Sums and Their Applications,
     CMU-CS-90-190, 1990): after the pass with offset w, row j holds the
-    product of rows max(0, j-2w+1)..j.  carry (shape (..., 4)) is the
-    product of everything before steps[0].
+    product of rows max(0, j-2w+1)..j.  carry (shape (4, ...)) is the
+    product of everything before steps[:, 0].
     """
     w = 1
-    while w < len(steps):
-        steps = np.concatenate([steps[:w], _quat_mul(steps[w:], steps[:-w])])
+    while w < steps.shape[1]:
+        steps = np.concatenate([steps[:, :w], _quat_mul(steps[:, w:], steps[:, :-w])], axis=1)
         w *= 2
     return _quat_mul(steps, carry)
 

@@ -4,9 +4,11 @@ Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
 the engines in quenchsim do not run: among them the single-sample kick
 product as a plain matrix product (kick_product), its leading-order closed
 form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
-(kz_exponent); and a table writer that formats every cell on its own, each
-number as repr(float(v)) (fmt_table, fmt_manifest), the reference for the
-bytes of every CLI output file.  Nothing here imports quenchsim, so a check
+(kz_exponent); the quaternion kernel with its components interleaved
+last, (..., 4), which the engines' component-first kernel must match bit
+for bit (quat_steps_interleaved and its products); and a table writer that
+formats every cell on its own, each number as repr(float(v)) (fmt_table,
+fmt_manifest), the reference for the bytes of every CLI output file.  Nothing here imports quenchsim, so a check
 against an oracle cannot share code with the engine it checks.
 
 Every Hamiltonian here is a 2x2 Hermitian matrix written in Bloch form
@@ -228,6 +230,73 @@ def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -
     seg2 = 0.5 * (f[1:] + f[:-1]) * np.diff(lam)
     integral = np.concatenate([[0.0 + 0.0j], np.cumsum(seg2)])
     return np.abs(integral)
+
+
+# ---------------------------------------------------------------------------
+# the quaternion kernel with interleaved components, (..., 4)
+# ---------------------------------------------------------------------------
+
+# The engines' kernel (quenchsim.su2) holds a quaternion with its component
+# axis first, (4, ...).  These are the same four operations with the
+# components last and interleaved: U = q[..., 0] I + i (q[..., 1] X +
+# q[..., 2] Y + q[..., 3] Z).  Every component is built in the association
+# the engines use, so the two layouts must agree bit for bit.
+
+
+def quat_steps_interleaved(a: np.ndarray, d: np.ndarray, dt) -> np.ndarray:
+    """Step quaternions (..., 4) for exp(-i H dt), H = -2 (a Z + d X); dt is
+    one step, or per-row areas broadcasting against a."""
+    r = np.sqrt(a * a + d * d)
+    r *= 2.0
+    ang = r * dt
+    q = np.empty(a.shape + (4,))
+    q[..., 0] = np.cos(ang)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        f = np.sin(ang) / r
+    zero = r == 0.0
+    if np.any(zero):
+        f[zero] = np.broadcast_to(dt, f.shape)[zero]  # sin(r dt)/r -> dt as r -> 0
+    f *= 2.0
+    q[..., 1] = f * d
+    q[..., 2] = 0.0
+    q[..., 3] = f * a
+    return q
+
+
+def quat_mul_interleaved(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(p0 + i p.sigma)(q0 + i q.sigma) = (p0 q0 - p.q) + i(p0 q + q0 p - p x q).sigma."""
+    p0, p1, p2, p3 = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+    out[..., 1] = p0 * q1 + q0 * p1 - (p2 * q3 - p3 * q2)
+    out[..., 2] = p0 * q2 + q0 * p2 - (p3 * q1 - p1 * q3)
+    out[..., 3] = p0 * q3 + q0 * p3 - (p1 * q2 - p2 * q1)
+    return out
+
+
+def ordered_product_interleaved(steps: np.ndarray) -> np.ndarray:
+    """steps[S-1] * ... * steps[0] of (S, M, 4) steps, by pairwise tree
+    contraction in the engines' order of pairing."""
+    while steps.shape[0] > 1:
+        s = steps.shape[0]
+        half = s // 2
+        merged = quat_mul_interleaved(steps[1 : 2 * half : 2], steps[0 : 2 * half : 2])
+        if s % 2:
+            steps = np.concatenate([merged, steps[-1:]], axis=0)
+        else:
+            steps = merged
+    return steps[0]
+
+
+def prefix_product_interleaved(steps: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Every prefix steps[j] * ... * steps[0] * carry of (S, ..., 4) steps,
+    by the engines' log-depth doubling scan."""
+    w = 1
+    while w < len(steps):
+        steps = np.concatenate([steps[:w], quat_mul_interleaved(steps[w:], steps[:-w])])
+        w *= 2
+    return quat_mul_interleaved(steps, carry)
 
 
 # ---------------------------------------------------------------------------

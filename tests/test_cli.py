@@ -516,6 +516,17 @@ class TestInputChecks:
             "no collective geodesic crosses it\n")
         assert os.listdir(tmp_path) == []
 
+    def test_collective_geodesic_with_underflowing_metric_runs(self, tmp_path):
+        """h = cos(3 pi/10) exactly at N = 10 with gamma from 1e-90: that
+        mode's metric term is 0 on the whole path, but its (a^2 + d^2)^2
+        underflows to 0 at gamma_i, where the ramp used to divide 0 by 0."""
+        out = tmp_path / "x.csv"
+        code = cli.main(["chain", "--regime", "anisotropy", "--h", "0.5877852522924731",
+                         "0.5877852522924731", "--gamma", "1e-90", "1", "--strategy", "geo",
+                         "--rates", "1", "--spins", "10", "--dt", "1e-2", "-o", str(out)])
+        assert code == 0
+        assert math.isfinite(float(read_csv(out)[0]["n_defect"]))
+
     @pytest.mark.parametrize("command", ["chain", "sweep"])
     def test_mode_on_h_equal_cos_k_exits_2_before_any_run(self, command, tmp_path,
                                                            capsys, monkeypatch):

@@ -396,6 +396,42 @@ class TestCollectiveRamp:
         steps = np.diff(ramp(np.linspace(0.0, 1.0, 1001)))
         assert np.all(steps * np.sign(p_f - p_i) > 0)
 
+    @pytest.mark.parametrize("regime,gamma,h", [
+        (Regime.ISING, (1.0, 1.0), (10.0, 0.0)),
+        (Regime.ANISOTROPY, (0.2, 1.5), (0.5, 0.5)),
+        (Regime.GAPLESS, (1.0, -1.0), (1.0, 1.0)),
+    ], ids=["ising", "anisotropy", "gapless"])
+    def test_table_keeps_the_bits_of_one_whole_table(self, regime, gamma, h):
+        """The ramp builds its arc-length table in blocks of grid rows; it
+        interpolates the same table as one built from a single (rows, M)
+        metric array."""
+        cfg = ChainConfig(n_spins=250, regime=regime, gamma_i=gamma[0], gamma_f=gamma[1],
+                          h_i=h[0], h_f=h[1], T=2.0, dt=1e-3, strategy=Strategy.GEO)
+        ks = momentum_grid(250)
+        s, c = np.sin(ks), np.cos(ks)
+        p_i, p_f = cfg.control
+        grid = np.linspace(min(p_i, p_f), max(p_i, p_f), 20001)
+        a, d = cfg.generator(grid[:, None], s, c)
+        e2 = a * a + d * d
+        g = 0.25 * (d if cfg.varies_h else a * s) ** 2 / (e2 * e2)
+        w = np.sqrt(g.sum(axis=1))
+        arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
+        frac = np.linspace(0.0, 1.0, 1001)
+        ref = np.interp(arclen[-1] * (frac if p_i <= p_f else 1.0 - frac), arclen, grid)
+        assert np.array_equal(collective_geodesic_ramp(cfg)(frac), ref)
+
+    def test_underflowing_zero_metric_term_counts_as_zero(self):
+        """At h = cos(3 pi/10) exactly (N = 10) one mode has a = 0, so its
+        term of the summed metric is 0 on the whole path; from gamma_i =
+        1e-90 its (a^2 + d^2)^2 underflows to 0.  The ramp stays finite and
+        runs from gamma_i to gamma_f."""
+        cfg = ChainConfig(n_spins=10, regime=Regime.ANISOTROPY, gamma_i=1e-90, gamma_f=1.0,
+                          h_i=0.5877852522924731, h_f=0.5877852522924731, T=1.0, dt=1e-2,
+                          strategy=Strategy.GEO)
+        path = collective_geodesic_ramp(cfg)(np.linspace(0.0, 1.0, 101))
+        assert np.all(np.isfinite(path)) and path[0] == 1e-90 and path[-1] == 1.0
+        assert np.all(np.diff(path) > 0)
+
     def test_err_tracking_shapes(self):
         cfg = ising_cfg(1.0, 1e-3, Strategy.GEO_JUMP, nkicks=5, n_spins=32)
         result, err = run_chain(cfg, track_err=True)

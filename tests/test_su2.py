@@ -26,6 +26,9 @@ from oracles import (
     eig2,
     expm_herm2,
     fidelity,
+    ordered_product_interleaved,
+    prefix_product_interleaved,
+    quat_steps_interleaved,
     su2_rotation,
 )
 
@@ -237,7 +240,8 @@ def bloch_steps(dx, dz, dt):
 
 
 def random_quats(rng, shape):
-    """Unit quaternions with q2 = 0, as the kernel's step quaternions are."""
+    """(4,) + shape unit quaternions with q2 = 0, as the kernel's step
+    quaternions are."""
     a, d = rng.uniform(-2, 2, size=(2,) + shape)
     return _quat_steps(a, d, rng.uniform(0.1, 1.0))
 
@@ -257,12 +261,12 @@ class TestQuatSteps:
 
 
 def sequential_products(steps, carry):
-    """steps[j] ... steps[0] carry for every j, one product at a time."""
+    """steps[:, j] ... steps[:, 0] carry for every j, one product at a time."""
     out, acc = [], carry
-    for q in steps:
+    for q in np.moveaxis(steps, 1, 0):
         acc = _quat_mul(q, acc)
         out.append(acc)
-    return np.array(out)
+    return np.stack(out, axis=1)
 
 
 class TestProducts:
@@ -278,7 +282,7 @@ class TestProducts:
     def test_ordered_product_is_last_prefix(self, length):
         rng = np.random.RandomState(100 + length)
         steps = random_quats(rng, (length, 3))
-        ref = sequential_products(steps, _quat_identity(3))[-1]
+        ref = sequential_products(steps, _quat_identity(3))[:, -1]
         assert np.abs(_ordered_product(steps) - ref).max() < 1e-13
 
     def test_product_order_is_later_on_the_left(self):
@@ -288,6 +292,71 @@ class TestProducts:
         U = _quat_to_unitary(steps)
         prod = _quat_to_unitary(_prefix_product(steps, _quat_identity(1)))
         assert np.abs(prod[1] - U[1] @ U[0]).max() < 1e-15
+
+
+def interleaved(q):
+    """(4, ...) component-first quaternions as (..., 4)."""
+    return np.moveaxis(q, 0, -1)
+
+
+def assert_same_bits(new, ref):
+    """Equal values with the same sign of every zero."""
+    assert new.shape == ref.shape
+    assert np.array_equal(new, ref)
+    assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+
+def generators(rng, shape):
+    """(a, d) of the given shape, with some rows a = d = 0 (identity steps)
+    and some d = -0.0, whose sign the step quaternion carries."""
+    a, d = rng.uniform(-3, 3, size=(2,) + shape)
+    a[:: max(1, shape[0] // 5)] = 0.0
+    d[:: max(1, shape[0] // 5)] = 0.0
+    d[1 :: 7] = -0.0
+    return a, d
+
+
+class TestComponentFirstKernel:
+    """The component-first kernel gives the bits of the interleaved one in
+    tests/oracles.py: steps, tree products and prefix scans."""
+
+    SHAPES = [(4096, 125), (4095, 7), (1, 1), (1001,)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_steps(self, shape):
+        rng = np.random.RandomState(sum(shape))
+        a, d = generators(rng, shape)
+        assert_same_bits(interleaved(_quat_steps(a, d, 0.37)),
+                         quat_steps_interleaved(a, d, 0.37))
+
+    @pytest.mark.parametrize("shape", [(4096, 125), (7, 3), (1, 1)], ids=str)
+    def test_steps_with_per_row_areas(self, shape):
+        """Kicked rows each act for their own area: dt is an (S, 1) array."""
+        rng = np.random.RandomState(7 + sum(shape))
+        a, d = generators(rng, shape)
+        area = rng.uniform(0.0, np.pi / 2, size=(shape[0], 1))
+        area[::3] = np.pi / 2
+        assert_same_bits(interleaved(_quat_steps(a, d, area)),
+                         quat_steps_interleaved(a, d, area))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_ordered_product(self, shape):
+        rng = np.random.RandomState(11 + sum(shape))
+        a, d = generators(rng, shape)
+        area = rng.uniform(0.0, 1.0, size=(shape[0],) + (1,) * (len(shape) - 1))
+        new = _ordered_product(_quat_steps(a, d, area))
+        ref = ordered_product_interleaved(quat_steps_interleaved(a, d, area))
+        assert_same_bits(interleaved(new), ref)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_prefix_product_with_carry(self, shape):
+        rng = np.random.RandomState(13 + sum(shape))
+        a, d = generators(rng, shape)
+        carry = random_quats(rng, (1,) + shape[1:])[:, 0]
+        carry[2] = rng.uniform(-1, 1, size=shape[1:])  # not a step: q2 != 0
+        new = _prefix_product(_quat_steps(a, d, 0.21), carry)
+        ref = prefix_product_interleaved(quat_steps_interleaved(a, d, 0.21), interleaved(carry))
+        assert_same_bits(interleaved(new), ref)
 
 
 class TestErrTerms:
