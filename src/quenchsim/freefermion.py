@@ -23,17 +23,11 @@ independent of the quench rate.
 
 Every driving is a path sampler (a, d)(lambda) over the scaled time
 lambda = t/T, plus, for kicked runs, the steps that Run.layout puts the
-pulses in; the run is the only holder of T.  One loop, evolve_modes, runs
-them all on the quaternion kernel of su2, which the Landau-Zener engine
-shares: its rows are every grid step of a continuous drive or the layout's
-entries of a kicked one, reduced by a time-ordered tree product per chunk of
-rows.  A chunk's steps are one (4, rows, modes) array, a contiguous slab per
-quaternion component, and each block carries its product as (4, modes).
-The adiabaticity error is summed from su2._err_terms over the same rows; the
-frozen stretch before a kicked row that does not follow its predecessor, and
-after the last one, is a segment with no phase growth.
+pulses in; the run is the only holder of T.  evolve_modes runs them all
+through su2._evolve_rows, the stepping loop the Landau-Zener engine shares,
+and reads only the end of each mode's product.
 Modes never mix, so evolve_modes splits them into contiguous blocks of at
-least two modes and runs the chunk loop of each block on its own thread
+least two modes and runs the loop of each block on its own thread
 (numpy releases the GIL inside its ufuncs); the blocks share the cell's
 sampler and are joined in mode order.  Every operation is elementwise in the
 mode, or a reduction over rows that numpy runs row by row on any block of two
@@ -55,9 +49,9 @@ from typing import Callable
 import numpy as np
 
 from .schedules import KickTrain, Run, Strategy, xy_geodesic_schedule
-from .su2 import _CHUNK, _err_terms, _ordered_product, _quat_identity, _quat_mul
-from .su2 import _quat_steps, _quat_to_unitary, expm_bloch_batch
-from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
+from .su2 import _evolve_rows, _quat_identity, _quat_to_unitary, expm_bloch_batch
+# wrapped by name in perfbench/tracer.py
+from .su2 import _ordered_product, _phase_ramp, _quat_mul, _quat_steps  # noqa: F401
 
 _RAMP_PTS = 20001
 _RAMP_BLOCK = 1024
@@ -130,10 +124,11 @@ class ChainConfig(Run):
     independent constant-speed schedule per mode.  The step grid and the
     checks on T, dt and kicks come from schedules.Run.  Rejected before
     evolving: a control whose generator a^2 + d^2 overflows on some mode at
-    either end, and so on the path between them; per-mode geodesics with
-    h = cos k on some mode; and a collective geodesic whose (a^2 + d^2)^2
-    overflows at either end, or on which some mode's (a, d) passes through
-    (0, 0), where the gap closes and the summed metric diverges.
+    either end, and so on the path between them; a continuous drive whose
+    phase 4 |(a, d)| T overflows; per-mode geodesics with h = cos k on some
+    mode; and a collective geodesic whose (a^2 + d^2)^2 overflows at either
+    end, or on which some mode's (a, d) passes through (0, 0), where the gap
+    closes and the summed metric diverges.
     """
 
     n_spins: int
@@ -181,6 +176,12 @@ class ChainConfig(Run):
                 if collective and not np.all(np.isfinite(e2 * e2)):
                     raise ValueError(f"{name}_{end}={p} is too large for the collective "
                                      "geodesic: (a^2 + d^2)^2 overflows")
+            # the steps of a continuous drive accumulate the phase 4 |(a, d)| T
+            # at most, twice the sum of their angles; a kicked row's is
+            # 4 |(a, d)| area with area at most pi/2, which cannot overflow
+            if self.kicks is None and not math.isfinite(4.0 * math.sqrt(e2.max()) * self.T):
+                raise ValueError(f"{name}_{end}={p} is too large for T={self.T}: the phase "
+                                 "4 |(a, d)| T of the steps overflows")
         # (a, d) is affine in the control: a collective path is the segment between its ends
         (a_i, d_i), (a_f, d_f) = ends
         closed = (a_i * d_f == a_f * d_i) & (a_i * a_f + d_i * d_f <= 0)
@@ -307,24 +308,15 @@ def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return reduce(lambda U, step: step @ U, expm_bloch_batch(-2.0 * d, 0.0, -2.0 * a, np.pi / 2))
 
 
-class _NonFiniteControl(RuntimeError):
-    """The sampler gave a non-finite a or d; at = (row, global mode index)."""
-
-    def __init__(self, row: int, mode: int):
-        super().__init__(f"non-finite control at row {row}, mode index {mode}")
-        self.at = (row, mode)
-
-
 def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool = False,
                  threads: int | None = None):
     """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
 
     The rows are every grid step of a continuous drive, or the entries of
     the kick layout (Run.layout), each sampled on the drive's path at
-    its scaled time and acting for its own area.  Single-sample kicks
-    thereby reduce to the ordered SU(2) kick product, with no dependence on
-    T.  Between kicked rows the generator vanishes: the phase is frozen
-    there and the error integral grows by e^{i phi} per unit lambda.
+    its scaled time and acting for its own area.  Between kicked rows the
+    generator vanishes: the phase is frozen there and the error integral
+    grows by e^{i phi} per unit lambda.
 
     The modes run in min(threads, M // 2) contiguous blocks, one thread
     each (threads=None: the process's usable CPUs); U and err are bitwise
@@ -358,14 +350,16 @@ def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool
 
 
 def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err: bool):
-    """The chunk loop of evolve_modes on the modes cols of fn's grid, over
-    every grid step, or over the kick layout (cfg.layout()) when it is not
-    None; returns (quaternions (4, Mb), err (Mb,) or None)."""
-    nmodes = cols.stop - cols.start
+    """su2._evolve_rows on the modes cols of fn's grid, over the rows of
+    evolve_modes; returns (quaternions (4, Mb), err (Mb,) or None)."""
     dt = cfg.dt_eff
     dlam = dt / cfg.T
-    n_rows = cfg.n_steps
-    if layout is not None:
+    if layout is None:
+        # every row's scaled midpoint, built once: built per chunk and freed at
+        # once, it fragmented the heap (wide-geo-modes peak RSS +30 MB)
+        n_rows, frozen, area = cfg.n_steps, None, None
+        lam = (np.arange(n_rows) + 0.5) * dt / cfg.T
+    else:
         idx, lam, area = layout
         n_rows = len(idx)
         # frozen stretches: one before each row that does not follow its
@@ -373,36 +367,13 @@ def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err
         end_lam = idx * dt / cfg.T + dlam
         jump = idx != np.append(0, idx[:-1] + 1)
         gap = idx * dt / cfg.T - np.append(0.0, end_lam[:-1])
-    Uq = _quat_identity(nmodes)
-    phase = np.zeros(nmodes)
-    integral = np.zeros(nmodes, dtype=complex)
-    for start in range(0, n_rows, _CHUNK):
-        ns = min(_CHUNK, n_rows - start)
-        if layout is None:
-            frac, h = (start + np.arange(ns) + 0.5) * dt / cfg.T, dt
-        else:
-            rows = slice(start, start + ns)
-            frac, h = lam[rows], area[rows, None]
-        a, d = fn(frac, cols)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-            bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
-            raise _NonFiniteControl(start + int(bad[0]), cols.start + int(bad[1]))
-        Uq = _quat_mul(_ordered_product(_quat_steps(a, d, h)), Uq)
-        if track_err:
-            # E0 - E1 = -4 E_k per unit time
-            dphi, w = -4.0 * np.hypot(a, d) * h, dlam
-            if layout is not None:
-                at = np.flatnonzero(jump[rows])
-                dphi = np.insert(dphi, at, 0.0, axis=0)
-                w = np.insert(np.full(ns, dlam), at, gap[rows][at])[:, None]
-            # blocks are never 1 mode wide (unless the grid is): numpy sums
-            # an (S, 1) column pairwise, not row by row, in other last bits
-            terms, phi = _err_terms(phase, dphi, w)
-            integral += terms.sum(axis=0)
-            phase = phi[-1]
-    if track_err and layout is not None:
-        terms, _ = _err_terms(phase, np.zeros((1, nmodes)), 1.0 - end_lam[-1])
-        integral += terms[0]
+        frozen = np.append(np.where(jump, gap, 0.0), 1.0 - end_lam[-1])
+
+    def sample(rows):
+        return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
+
+    Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start), dlam,
+                                   track_err, frozen, col0=cols.start)
     return Uq, (np.abs(integral) if track_err else None)
 
 

@@ -14,14 +14,13 @@ the rule the chain uses too; between pulses the generator vanishes and the
 state is frozen.
 
 Time stepping is piecewise-constant with midpoint-sampled parameters and the
-closed-form step propagator, on the same quaternion kernel as the chain
-(su2): H = dx X + dz Z is the chain's -2 (a Z + d X) with a = -dz/2 and
-d = -dx/2.  The propagator to every node comes from a log-depth prefix
-product of the (4, steps) step quaternions of each chunk, component axis
-first, so no Python loop runs over steps; each prefix is put back on
-|q| = 1, so the state norm is preserved to rounding.  A run records four
-diagnostics along the way: fidelity against the final ground state, the
-instantaneous gap of the full (envelope-included) generator, the accumulated
+closed-form step propagator, through su2._evolve_rows, the stepping loop the
+chain shares, as one mode column that reads every node: H = dx X + dz Z is
+the chain's -2 (a Z + d X) with a = -dz/2 and d = -dx/2 (exact power-of-two
+scaling), and each node's propagator is put back on |q| = 1, so the state
+norm is preserved to rounding.  A run records four diagnostics along the
+way: fidelity against the final ground state, the instantaneous gap of the
+full (envelope-included) generator, the accumulated
 dynamical-phase-difference factor e^{i phi}, and the adiabaticity error
 |integral of e^{i phi} d lambda|.  For a kicked run the gap at node i is
 2 * amplitude of step i: nonzero exactly at the steps the layout fills.
@@ -35,17 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import KickTrain, Run, Strategy, lz_geodesic_schedule
-from .su2 import _CHUNK, _err_terms, _prefix_product, _quat_identity, _quat_steps
-from .su2 import _quat_to_unitary
+from .su2 import _evolve_rows, _quat_identity, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
 
 @dataclass(frozen=True)
 class LZConfig(Run):
     """One two-level sweep: field from x_i to x_f over total time T.  The
-    step grid and the checks on T, dt and kicks come from schedules.Run; a
-    field whose bare Hamiltonian overflows (x^2 + eps^2 at either end, and
-    so on the path between them) is rejected before evolving."""
+    step grid and the checks on T, dt and kicks come from schedules.Run.
+    Rejected before evolving: a field whose bare Hamiltonian overflows
+    (x^2 + eps^2 at either end, and so on the path between them); a linear
+    sweep whose phase hypot(x, eps) T or whose (x_f - x_i) T overflows; and
+    kicks whose amplitude squared overflows."""
 
     eps: float
     x_i: float
@@ -68,6 +68,22 @@ class LZConfig(Run):
             if not math.isfinite(x * x + self.eps * self.eps):
                 raise ValueError(f"{name}={x} with eps={self.eps} is too large: the "
                                  "generator x^2 + eps^2 overflows")
+            # the steps of a linear sweep accumulate the phase hypot(x, eps) T
+            # at most, twice the sum of their angles
+            if self.strategy is Strategy.LIN and \
+                    not math.isfinite(math.hypot(x, self.eps) * self.T):
+                raise ValueError(f"{name}={x} with eps={self.eps} is too large for "
+                                 f"T={self.T}: the phase hypot(x, eps) T overflows")
+        # the linear sweep samples x_i + (x_f - x_i) t / T
+        if self.strategy is Strategy.LIN and not math.isfinite((self.x_f - self.x_i) * self.T):
+            raise ValueError(f"x_f - x_i = {self.x_f - self.x_i} is too large for T={self.T}: "
+                             "(x_f - x_i) T overflows")
+        if self.kicks is not None:
+            # the kernel squares the kicked generator's amplitude area/dt_eff
+            amp = float(self.layout()[2][0]) / self.dt_eff
+            if not math.isfinite(amp * amp):
+                raise ValueError(f"dt={self.dt} is too small for the kicks: the pulse "
+                                 f"amplitude {amp} squared overflows")
 
 
 @dataclass
@@ -91,11 +107,8 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     form of the module docstring.
 
     Kicked steps come from Run.layout: step idx carries amplitude
-    area/dt_eff at the angle of its scaled time lam.  Single-sample kicks
-    (pulse width at most the requested step cfg.dt, at every T) deposit
-    the whole pi/2 area in the step holding each kick, at the angle of
-    lambda_j = (2j-1)/(2n); wider pulses fill the steps whose midpoints
-    lie in the pulse.
+    area/dt_eff at the angle of its scaled time lam, and every other step
+    is a zero row.
     """
     n = cfg.n_steps
     dt = cfg.dt_eff
@@ -133,32 +146,15 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     ph_re[0], ph_im[0] = 1.0, 0.0
     err[0] = 0.0
 
-    carry = _quat_identity(1)[:, 0]
-    phase = 0.0
-    integral = 0.0 + 0.0j
-    for start in range(0, n, _CHUNK):
-        ns = min(_CHUNK, n - start)
-        cx, cz = dx[start : start + ns], dz[start : start + ns]
-        # H = dx X + dz Z is the kernel's -2 (a Z + d X) with a = -dz/2, d = -dx/2
-        prefix = _prefix_product(_quat_steps(-cz / 2, -cx / 2, dt), carry)
-        # back onto |q| = 1: reassociated products drift the norm
-        # systematically (-7.9e-12 over 1e6 steps of a linear sweep)
-        q0, q1, q2, q3 = prefix
-        prefix /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-        states = _quat_to_unitary(prefix) @ psi0
-        psi = states[-1]
-        if not np.all(np.isfinite(psi.view(float))):
-            raise RuntimeError(
-                f"non-finite state at step {start + ns} (t={times[start + ns]})"
-            )
-        sl = slice(start + 1, start + ns + 1)
+    def nodes(rows, prefix, phi, integral):
+        sl = slice(rows.start + 1, rows.stop + 1)
+        states = _quat_to_unitary(prefix[:, :, 0]) @ psi0
         fid[sl] = np.minimum(np.abs(states @ target.conj()) ** 2, 1.0)
-        # phase difference E0 - E1 = -2|d| accumulated over each step
-        terms, phi = _err_terms(phase, -2.0 * np.hypot(cx, cz) * dt, dt / cfg.T)
-        integral_nodes = integral + np.cumsum(terms)
-        ph_re[sl] = np.cos(phi[1:])
-        ph_im[sl] = np.sin(phi[1:])
-        err[sl] = np.abs(integral_nodes)
-        carry, phase, integral = prefix[:, -1], phi[-1], integral_nodes[-1]
+        ph_re[sl] = np.cos(phi[:, 0])
+        ph_im[sl] = np.sin(phi[:, 0])
+        err[sl] = np.abs(integral[:, 0])
 
+    carry, _, _ = _evolve_rows(lambda rows: (-dz[rows, None] / 2, -dx[rows, None] / 2, dt), n,
+                               _quat_identity(1), dt / cfg.T, track_err=True, nodes=nodes)
+    psi = _quat_to_unitary(carry[:, 0]) @ psi0
     return Trajectory(times, fid, gap, ph_re, ph_im, err, psi)

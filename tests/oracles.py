@@ -4,7 +4,8 @@ Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
 the engines in quenchsim do not run: among them the single-sample kick
 product as a plain matrix product (kick_product), its leading-order closed
 form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
-(kz_exponent); the quaternion kernel with its components interleaved
+(kz_exponent); the closed-form final state of the Landau-Zener geodesic
+(lz_geodesic_final_state); the quaternion kernel with its components interleaved
 last, (..., 4), which the engines' component-first kernel must match bit
 for bit (quat_steps_interleaved and its products); and a table writer that
 formats every cell on its own, each number as repr(float(v)) (fmt_table,
@@ -208,6 +209,25 @@ def fs_metric_h(k: float, gamma: float, h: float) -> float:
 def lz_hamiltonian(x: float, eps: float) -> Herm2:
     """H = (x X + eps Z) / 2."""
     return Herm2(0.0, np.array([x / 2, 0.0, eps / 2]))
+
+
+def lz_geodesic_final_state(x_i: float, x_f: float, eps: float, T: float,
+                            psi0: np.ndarray) -> np.ndarray:
+    """Exact psi(T) from psi0 under the geodesic sweep H(t) = (sin th X +
+    cos th Z)/2, th = th_i + omega t, omega = (th_f - th_i)/T, with
+    th = math.atan2(x, eps) at each end (for eps > 0 the two lie less than
+    pi apart, so no short-arc wrap moves th_f).
+
+    H(t) = R(th) (Z/2) R(th)^dagger with R(th) = exp(-i th Y/2), so in the
+    frame that rotates with th the generator is the constant
+    Z/2 - (omega/2) Y and
+    psi(T) = R(th_f) exp(-i (Z/2 - omega Y/2) T) R(th_i)^dagger psi0.
+    """
+    th_i, th_f = math.atan2(x_i, eps), math.atan2(x_f, eps)
+    omega = (th_f - th_i) / T
+    half_y = Herm2(0.0, np.array([0.0, 0.5, 0.0]))
+    frame = expm_herm2(Herm2(0.0, np.array([0.0, -omega / 2, 0.5])), T)
+    return expm_herm2(half_y, th_f) @ frame @ expm_herm2(half_y, th_i).conj().T @ psi0
 
 
 def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -> np.ndarray:

@@ -500,6 +500,56 @@ class TestInputChecks:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("args,message", [
+        (["chain", "--rates", "1e-300", "--dt", "1e298", "--h", "1e150", "0", "--spins", "4"],
+         "h_i=1e+150 is too large for T=9.999999999999999e+299: the phase 4 |(a, d)| T of "
+         "the steps overflows"),
+        (["chain", "--rates", "1e-300", "--dt", "1e298", "--h", "5e7", "0", "--spins", "4"],
+         "h_i=50000000.0 is too large for T=9.999999999999999e+299: the phase 4 |(a, d)| T "
+         "of the steps overflows"),
+        (["chain", "--rates", "1e-300", "--dt", "1e298", "--h", "1e70", "0", "--spins", "4",
+          "--strategy", "geo"],
+         "h_i=1e+70 is too large for T=9.999999999999999e+299: the phase 4 |(a, d)| T of "
+         "the steps overflows"),
+        (["lz", "--T", "1e300", "--dt", "1e298", "--x", " -1e150", "1e150"],
+         "x_i=-1e+150 with eps=0.1 is too large for T=1e+300: the phase hypot(x, eps) T "
+         "overflows"),
+        (["lz", "--T", "1e154", "--dt", "1e152", "--x", " -1e154", "1e154"],
+         "x_f - x_i = 2e+154 is too large for T=1e+154: (x_f - x_i) T overflows"),
+        (["lz", "--strategy", "geojump", "--kicks", "2", "--T", "1e-300", "--dt", "1e-302"],
+         "dt=1e-302 is too small for the kicks: the pulse amplitude 1.5707963267948967e+302 "
+         "squared overflows"),
+        (["lz", "--strategy", "geojump", "--kicks", "2", "--T", "1e-152", "--dt", "1e-154"],
+         "dt=1e-154 is too small for the kicks: the pulse amplitude 1.5707963267948962e+154 "
+         "squared overflows"),
+    ], ids=["chain-lin", "chain-lin-edge", "chain-geo", "lz-phase", "lz-sweep", "lz-kicks",
+            "lz-kicks-edge"])
+    def test_overflowing_step_exits_2_before_evolving(self, args, message, tmp_path, capsys,
+                                                       monkeypatch):
+        """A step angle, a phase or a sampled field that overflows would step
+        on inf and write NaN; building the run rejects it."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("args", [
+        ["chain", "--rates", "1e-300", "--dt", "1e298", "--h", "4e7", "0", "--spins", "4"],
+        ["lz", "--T", "1e300", "--dt", "1e298", "--x", " -8e7", "8e7"],
+        ["lz", "--T", "5e153", "--dt", "5e151", "--x", " -1e154", "1e154"],
+        ["lz", "--strategy", "geojump", "--kicks", "2", "--T", "1e-151", "--dt", "1e-153"],
+    ], ids=["chain-lin", "lz-phase", "lz-sweep", "lz-kicks"])
+    def test_step_just_inside_the_bounds_runs(self, args, tmp_path):
+        """Just inside each bound above the run completes, with no warning
+        and finite output (the chain's per-mode table tracks the error)."""
+        out, modes = tmp_path / "x.csv", tmp_path / "modes.csv"
+        extra = ["--modes-out", str(modes)] if args[0] == "chain" else []
+        assert cli.main(args + extra + ["-o", str(out)]) == 0
+        rows = read_csv(out) + (read_csv(modes) if extra else [])
+        assert rows and all(math.isfinite(float(v)) for row in rows for k, v in row.items()
+                            if k not in ("strategy", "regime"))
+
     def test_collective_geodesic_through_closed_gap_exits_2_before_evolving(
             self, tmp_path, capsys, monkeypatch):
         """h = cos(3 pi/10) exactly at N = 10 while gamma crosses 0: that

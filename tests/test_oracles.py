@@ -29,7 +29,10 @@ def test_every_exported_name_resolves():
 # Names kept only because the benchmark (perfbench/) reaches them by name;
 # each entry is "module.name".
 PINNED_BY_BENCHMARK = [
+    "freefermion._ordered_product",
     "freefermion._phase_ramp",
+    "freefermion._quat_mul",
+    "freefermion._quat_steps",
     "freefermion.evolve_mode_kicks_exact",
     "landau_zener._phase_ramp",
 ]

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from quenchsim.su2 import (
+    _CHUNK,
     _err_terms,
+    _evolve_rows,
+    _NonFiniteControl,
     _ordered_product,
     _phase_ramp,
     _prefix_product,
@@ -380,3 +383,66 @@ class TestErrTerms:
         terms, phi = _err_terms(0.0, slope * widths, widths)
         assert abs(terms.sum()) < 1e-13
         assert phi[-1] == pytest.approx(slope, rel=1e-14)
+
+
+class TestEvolveRows:
+    """su2._evolve_rows on 5000 rows (two chunks of _CHUNK = 4096) of 3 modes."""
+
+    N_ROWS, DLAM = 5000, 1.0 / 5000
+
+    @classmethod
+    def rows(cls, seed=53):
+        rng = np.random.RandomState(seed)
+        a = rng.uniform(-2.0, 2.0, size=(cls.N_ROWS, 3))
+        d = rng.uniform(-2.0, 2.0, size=(cls.N_ROWS, 3))
+        area = rng.uniform(0.0, 2e-3, size=cls.N_ROWS)
+        return a, d, area, lambda rows: (a[rows], d[rows], area[rows, None])
+
+    def test_the_nodes_end_where_the_tree_ends(self):
+        """The last node of the prefix scan, and its running error, equal the
+        tree product and the summed error."""
+        assert self.N_ROWS > _CHUNK
+        *_, sample = self.rows()
+        tree, _, summed = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                       track_err=True)
+        last = {}
+
+        def nodes(rows, prefix, phi, integral):
+            assert prefix.shape == (4, rows.stop - rows.start, 3)
+            last.update(stop=rows.stop, q=prefix[:, -1], integral=integral[-1])
+
+        scan, _, running = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                        track_err=True, nodes=nodes)
+        assert last["stop"] == self.N_ROWS
+        assert np.array_equal(scan, last["q"]) and np.array_equal(running, last["integral"])
+        assert np.abs(last["q"] - tree).max() < 1e-13
+        assert np.abs(last["integral"] - summed).max() < 1e-13
+
+    def test_frozen_stretches_match_a_per_segment_loop(self):
+        """Frozen widths before rows 0, 100 and 4096 (the chunk edge) and
+        after the last row, against the error integral summed one segment
+        at a time."""
+        a, d, area, sample = self.rows(59)
+        frozen = np.zeros(self.N_ROWS + 1)
+        frozen[[0, 100, _CHUNK, self.N_ROWS]] = [0.3, 0.05, 0.02, 0.1]
+        _, phase, integral = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                          track_err=True, frozen=frozen)
+        ref_phase, ref = np.zeros(3), np.zeros(3, dtype=complex)
+        for j in range(self.N_ROWS):
+            ref += np.exp(1j * ref_phase) * frozen[j]
+            dphi = -4.0 * np.hypot(a[j], d[j]) * area[j]
+            ref += np.exp(1j * ref_phase) * (np.exp(1j * dphi) - 1) / (1j * dphi) * self.DLAM
+            ref_phase += dphi
+        ref += np.exp(1j * ref_phase) * frozen[-1]
+        assert np.abs(phase - ref_phase).max() < 1e-12
+        assert np.abs(integral - ref).max() < 1e-12
+
+    def test_non_finite_control_is_named_by_row_and_global_mode(self):
+        """NaN at (row 4096, column 1) of a block whose first mode is 5."""
+        a, d, area, _ = self.rows()
+        a[_CHUNK, 1] = np.nan
+        with pytest.raises(_NonFiniteControl) as info:
+            _evolve_rows(lambda rows: (a[rows], d[rows], area[rows, None]), self.N_ROWS,
+                         _quat_identity(3), self.DLAM, col0=5)
+        assert str(info.value) == "non-finite control at row 4096, mode index 6"
+        assert info.value.at == (4096, 6)
