@@ -15,19 +15,12 @@ from .freefermion import (
     run_chain,
 )
 from .landau_zener import LZConfig, Trajectory, evolve_lz
-from .schedules import (
-    KickTrain,
-    Strategy,
-    kick_train,
-    lz_geodesic_schedule,
-    xy_geodesic_schedule,
-)
+from .schedules import KickTrain, Strategy, kick_train, xy_geodesic_schedule
 
 __all__ = [
     "__version__",
     "ChainConfig", "DefectResult", "KickTrain", "LZConfig",
     "Regime", "ScalingFit", "Strategy", "Trajectory",
     "defect_density", "evolve_lz", "evolve_modes", "excitation_prob",
-    "fit_power_law", "kick_train", "lz_geodesic_schedule", "momentum_grid",
-    "run_chain", "xy_geodesic_schedule",
+    "fit_power_law", "kick_train", "momentum_grid", "run_chain", "xy_geodesic_schedule",
 ]

@@ -23,8 +23,8 @@ are reduced in submission order, and floats are handed to csv as Python
 floats, which it writes with their shortest round-trip repr, so identical
 configs produce byte-identical files for any worker or thread count.  Every
 output path is checked before any work starts: it must name a file in an
-existing directory, and no two files of a run (tables and manifests) may be
-the same.
+existing directory, no two files of a run (tables and manifests) may be
+the same, and none may be the run's --input or --config file.
 Output files are written to a temporary file in the target directory and
 renamed into place, so an interrupted run leaves no partial file at the
 destination; a manifest listing the fully resolved configuration is written
@@ -425,6 +425,12 @@ def main(argv: list[str] | None = None) -> int:
         written = [os.path.realpath(p + ext) for p in paths for ext in ("", ".manifest.txt")]
         if len(set(written)) < len(written):
             raise ValueError(f"--out {out} and --modes-out {modes_out} would overwrite each other")
+        for flag, source in (("--config", ns.config), ("--input", getattr(ns, "input", ""))):
+            if source and os.path.realpath(source) in written:
+                at = written.index(os.path.realpath(source))
+                dest = f"--out {out}" if at < 2 else f"--modes-out {modes_out}"
+                raise ValueError(f"{'the manifest of ' if at % 2 else ''}{dest} would overwrite "
+                                 f"{flag} {source}")
         return ns.func(ns)
     except (ValueError, OSError, MemoryError) as exc:  # numpy: "Unable to allocate ..."
         print(f"error: {exc}", file=sys.stderr)

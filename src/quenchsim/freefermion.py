@@ -26,12 +26,12 @@ lambda = t/T, plus, for kicked runs, the steps that Run.layout puts the
 pulses in; the run is the only holder of T.  evolve_modes runs them all
 through su2._evolve_rows, the stepping loop the Landau-Zener engine shares,
 and reads only the end of each mode's product.
-Modes never mix, so evolve_modes splits them into contiguous blocks of at
-least two modes and runs the loop of each block on its own thread
-(numpy releases the GIL inside its ufuncs); the blocks share the cell's
-sampler and are joined in mode order.  Every operation is elementwise in the
-mode, or a reduction over rows that numpy runs row by row on any block of two
-or more modes, so U and the error are bitwise the same for any thread count.
+Modes never mix, so evolve_modes builds the cell's sampler and rows once
+and runs the loop on contiguous blocks of at least two modes, each on its
+own thread (numpy releases the GIL inside its ufuncs), joined in mode order.
+Every operation is elementwise in the mode, or a reduction over rows that
+numpy runs row by row on any block of two or more modes, so U and the error
+are bitwise the same for any thread count.
 A run uses the process's usable CPUs unless told otherwise; per-(mode, rate)
 work is pure, so cells can also be farmed out to worker processes with an
 ordered reduction.
@@ -308,59 +308,31 @@ def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return reduce(lambda U, step: step @ U, expm_bloch_batch(-2.0 * d, 0.0, -2.0 * a, np.pi / 2))
 
 
-def evolve_modes(cfg: ChainConfig, ks: np.ndarray | None = None, track_err: bool = False,
-                 threads: int | None = None):
+def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | None = None):
     """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
 
     The rows are every grid step of a continuous drive, or the entries of
     the kick layout (Run.layout), each sampled on the drive's path at
     its scaled time and acting for its own area.  Between kicked rows the
     generator vanishes: the phase is frozen there and the error integral
-    grows by e^{i phi} per unit lambda.
+    grows by e^{i phi} per unit lambda.  The rows are built once per cell.
 
     The modes run in min(threads, M // 2) contiguous blocks, one thread
     each (threads=None: the process's usable CPUs); U and err are bitwise
     the same for every thread count.  A non-finite control is reported at
     its smallest row, then smallest mode, as a serial run finds it.
     """
-    if ks is None:
-        ks = momentum_grid(cfg.n_spins)
-    ks = np.asarray(ks, dtype=float)
-    nmodes = len(ks)
-    fn = _bloch_components(cfg, ks)
-    layout = cfg.layout() if cfg.kicks is not None else None
-    nblocks = max(1, min(threads or _usable_cpus(), nmodes // 2))
-    ends = [nmodes * i // nblocks for i in range(nblocks + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-    if nblocks == 1:
-        parts = [_evolve_block(cfg, fn, layout, blocks[0], track_err)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(nblocks) as pool:
-            futures = [pool.submit(_evolve_block, cfg, fn, layout, b, track_err)
-                       for b in blocks]
-        failed = [e for e in (f.exception() for f in futures) if e is not None]
-        if failed:
-            # the serial run's error: the smallest (row, mode) of any block
-            raise min(failed, key=lambda e: getattr(e, "at", (-1, -1)))
-        parts = [f.result() for f in futures]
-    U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts], axis=1))
-    return U, (np.concatenate([err for _, err in parts]) if track_err else None)
-
-
-def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err: bool):
-    """su2._evolve_rows on the modes cols of fn's grid, over the rows of
-    evolve_modes; returns (quaternions (4, Mb), err (Mb,) or None)."""
+    nmodes = cfg.n_spins // 2
+    fn = _bloch_components(cfg, momentum_grid(cfg.n_spins))
     dt = cfg.dt_eff
     dlam = dt / cfg.T
-    if layout is None:
+    if cfg.kicks is None:
         # every row's scaled midpoint, built once: built per chunk and freed at
         # once, it fragmented the heap (wide-geo-modes peak RSS +30 MB)
         n_rows, frozen, area = cfg.n_steps, None, None
         lam = (np.arange(n_rows) + 0.5) * dt / cfg.T
     else:
-        idx, lam, area = layout
+        idx, lam, area = cfg.layout()
         n_rows = len(idx)
         # frozen stretches: one before each row that does not follow its
         # predecessor, and one after the last row
@@ -369,12 +341,35 @@ def _evolve_block(cfg: ChainConfig, fn: Callable, layout, cols: slice, track_err
         gap = idx * dt / cfg.T - np.append(0.0, end_lam[:-1])
         frozen = np.append(np.where(jump, gap, 0.0), 1.0 - end_lam[-1])
 
-    def sample(rows):
-        return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
+    def block(cols: slice):
+        """su2._evolve_rows on the modes cols: (quaternions (4, Mb), err (Mb,) or None)."""
+        def sample(rows):
+            return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
 
-    Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start), dlam,
-                                   track_err, frozen, col0=cols.start)
-    return Uq, (np.abs(integral) if track_err else None)
+        Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),
+                                       dlam, track_err, frozen, col0=cols.start)
+        return Uq, (np.abs(integral) if track_err else None)
+
+    nblocks = max(1, min(threads or _usable_cpus(), nmodes // 2))
+    ends = [nmodes * i // nblocks for i in range(nblocks + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+    if nblocks == 1:
+        # in the calling thread: on a pool thread, one-thread per-mode
+        # geodesic cells (a sweep worker's) peaked 13% higher in RSS
+        parts = [block(blocks[0])]
+    else:
+        # imported here: at module level it costs every process 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(nblocks) as pool:
+            futures = [pool.submit(block, b) for b in blocks]
+        failed = [e for e in (f.exception() for f in futures) if e is not None]
+        if failed:
+            # the serial run's error: the smallest (row, mode) of any block
+            raise min(failed, key=lambda e: getattr(e, "at", (-1, -1)))
+        parts = [f.result() for f in futures]
+    U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts], axis=1))
+    return U, (np.concatenate([err for _, err in parts]) if track_err else None)
 
 
 def evolve_mode_kicks_exact(k: float, theta_seq: np.ndarray, gamma: float) -> np.ndarray:
@@ -409,6 +404,6 @@ def run_chain(cfg: ChainConfig, track_err: bool = False, threads: int | None = N
     depend on it.
     """
     ks = momentum_grid(cfg.n_spins)
-    U, err = evolve_modes(cfg, ks, track_err=track_err, threads=threads)
+    U, err = evolve_modes(cfg, track_err=track_err, threads=threads)
     pk = excitation_prob(U, ks, cfg.gamma_f, cfg.h_f, cfg.gamma_i, cfg.h_i)
     return DefectResult(ks, pk, defect_density(pk)), err

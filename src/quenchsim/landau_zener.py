@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import KickTrain, Run, Strategy, lz_geodesic_schedule
+from .schedules import KickTrain, Run, Strategy, _geodesic_angles
 from .su2 import _evolve_rows, _quat_identity, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
@@ -121,19 +121,21 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     # the full (envelope-included) generator at the nodes
     times = np.arange(n + 1) * dt
     tmid = (np.arange(n) + 0.5) * dt
+    if cfg.strategy is not Strategy.LIN:
+        # both geodesics follow x = eps tan(theta), theta affine in t/T;
+        # LZConfig has rejected eps = 0
+        th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
     if cfg.strategy is Strategy.LIN:
         dx = (cfg.x_i + (cfg.x_f - cfg.x_i) * tmid / cfg.T) / 2
         dz = np.full(n, cfg.eps / 2)
         x = cfg.x_i + (cfg.x_f - cfg.x_i) * times / cfg.T
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        th_i, th_f = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
         th = th_i + (th_f - th_i) * (tmid / cfg.T)
         dx, dz = np.sin(th) / 2, np.cos(th) / 2
         gap = np.ones(n + 1)
     else:
         idx, lam, area = cfg.layout()
-        th_i, th_f = lz_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
         amp, th = area / dt, th_i + (th_f - th_i) * lam
         dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
         dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp

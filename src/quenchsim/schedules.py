@@ -60,21 +60,6 @@ def _geodesic_angles(y_i, y_f, x):
     return th_i, _short_arc(th_i, np.asarray(_atan2(y_f, x), dtype=float))
 
 
-def lz_geodesic_schedule(x_i: float, x_f: float, eps: float) -> tuple[float, float]:
-    """Angle endpoints (theta_i, theta_f) of the constant-FS-speed path of
-    the two-level sweep field, x = eps * tan(theta).
-
-    theta_i = atan2(x_i, eps) (equal to arctan(x_i/eps) for eps > 0).  For
-    eps < 0 the endpoints can lie more than pi apart; theta_f is then moved
-    onto the short arc (through theta = pi), so the sweep mirrors the one at
-    -eps and tan(theta) crosses no pole.
-    """
-    if eps == 0:
-        raise ValueError("eps must be nonzero (mixing angle undefined at eps=0)")
-    th_i, th_f = _geodesic_angles(x_i, x_f, eps)
-    return float(th_i), float(th_f)
-
-
 def xy_geodesic_schedule(ks, varies_h: bool, p_i: float, p_f: float, fixed: float):
     """Per-mode geodesic angle endpoints (theta_i, theta_f), arrays over ks.
 

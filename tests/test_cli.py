@@ -730,6 +730,54 @@ class TestExitCodes:
             == f"error: --out {out} and --modes-out {modes_out} would overwrite each other\n"
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "sub"]
 
+    @pytest.mark.parametrize("command,source,flags,dest", [
+        ("fit", "--input", ["-o", "d.csv"], "--out d.csv"),
+        ("fit", "--input", ["-o", "./d.csv"], "--out ./d.csv"),
+        ("fit", "--input", ["-o", "sub/../d.csv"], "--out sub/../d.csv"),
+        ("fit", "--input", ["-o", "link"], "--out link"),
+        ("fit", "--input", ["-o", "d"], "the manifest of --out d"),
+        ("chain", "--config", ["-o", "c.json"], "--out c.json"),
+        ("chain", "--config", ["-o", "./c.json"], "--out ./c.json"),
+        ("chain", "--config", ["-o", "sub/../c.json"], "--out sub/../c.json"),
+        ("chain", "--config", ["-o", "link"], "--out link"),
+        ("chain", "--config", ["-o", "c"], "the manifest of --out c"),
+        ("chain", "--config", ["-o", "x.csv", "--modes-out", "c.json"], "--modes-out c.json"),
+        ("chain", "--config", ["-o", "x.csv", "--modes-out", "c"],
+         "the manifest of --modes-out c"),
+        ("lz", "--config", ["-o", "./c.json"], "--out ./c.json"),
+        ("sweep", "--config", ["-o", "sub/../c.json"], "--out sub/../c.json"),
+    ])
+    def test_outputs_overwriting_an_input_fail_before_any_work(self, command, source, flags,
+                                                               dest, tmp_path, capsys,
+                                                               monkeypatch):
+        """No table or manifest of a run may be its --input or --config
+        file, however the paths are spelled: the run exits 2 naming both
+        flags, leaves the input's bytes as they were and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        # the input is the file an output spells, or the manifest of it
+        name = flags[-1] if flags[-1] != "link" else "target"
+        name = name + ".manifest.txt" if "manifest" in dest else os.path.normpath(name)
+        data = ("rate,n_defect\n0.5,0.1\n1.0,0.2\n2.0,0.35\n" if source == "--input"
+                else json.dumps({"dt": 1e-2}))
+        (tmp_path / name).write_text(data)
+        if flags[-1] == "link":
+            os.symlink(name, "link")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        monkeypatch.setattr(cli, "fit_power_law", _fail)
+        args = [command, *_RUN_ARGS[command], *flags]
+        if source == "--input":
+            args[args.index("table.csv")] = name
+        else:
+            args += ["--config", name]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: {dest} would overwrite {source} {name}\n"
+        assert (tmp_path / name).read_text() == data
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "sub") == []
+
     def test_failed_temporary_file_names_the_requested_path(self, tmp_path, monkeypatch):
         """Should creating the temporary file still fail, the error names the
         requested path, not the random temporary name."""

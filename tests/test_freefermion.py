@@ -1,5 +1,6 @@
 """Tests for the chain momentum-mode dynamics."""
 
+import inspect
 import math
 import os
 import sys
@@ -191,7 +192,7 @@ class TestEvolveModes:
     def test_short_time_linear_is_identity(self):
         """T -> 0 with no pulses leaves every mode untouched."""
         cfg = ising_cfg(1e-6, 1e-8, Strategy.LIN, n_spins=16)
-        U = evolve_modes(cfg, np.array([momentum_grid(16)[3]]))[0][0]
+        U = evolve_modes(cfg)[0][3]
         assert np.abs(U - IDENT).max() < 1e-4
 
     def test_stepwise_matches_exact_kicks(self):
@@ -199,9 +200,9 @@ class TestEvolveModes:
         evolve_mode_kicks_exact (perfbench's rate-free reference) is that
         product."""
         cfg = ising_cfg(1.0, 1e-4, Strategy.GEO_JUMP, nkicks=5, n_spins=64)
-        for k in momentum_grid(64)[::13]:
+        U_grid, _ = evolve_modes(cfg)
+        for k, U_step in zip(momentum_grid(64)[::13], U_grid[::13]):
             thetas = theta_path_ising(k, 10.0, 0.0, 5)
-            U_step = evolve_modes(cfg, np.array([k]))[0][0]
             U_oracle = kick_product(k, thetas, 1.0)
             assert np.abs(U_step - U_oracle).max() < 1e-6
             assert np.abs(evolve_mode_kicks_exact(k, thetas, 1.0) - U_oracle).max() < 1e-12
@@ -299,7 +300,7 @@ class TestExcitationProb:
         momentum with its (2, 2) unitary gives that entry as a float."""
         cfg = ising_cfg(1.0, 1e-3, strategy, nkicks=nkicks, n_spins=32, collective=collective)
         ks = momentum_grid(32)
-        U, _ = evolve_modes(cfg, ks)
+        U, _ = evolve_modes(cfg)
         pk = run_chain(cfg)[0].pk
         assert np.array_equal(excitation_prob(U, ks, 1.0, 0.0, 1.0, 10.0), pk)
         for i in (0, 7, 15):
@@ -318,12 +319,10 @@ class TestExcitationProb:
         assert p == pytest.approx(np.sin((th_f - th_i) / 2) ** 2)
 
     def test_completeness(self):
-        """p_k plus the ground-state survival probability is exactly one."""
-        rng = np.random.RandomState(37)
-        for _ in range(20):
-            k = rng.uniform(0.1, np.pi - 0.1)
-            cfg = ising_cfg(0.7, 1e-3, Strategy.LIN, n_spins=32)
-            U = evolve_modes(cfg, np.array([k]))[0][0]
+        """p_k plus the ground-state survival probability is exactly one, on
+        each of the 20 modes of a 40-spin chain."""
+        cfg = ising_cfg(0.7, 1e-3, Strategy.LIN, n_spins=40)
+        for k, U in zip(momentum_grid(40), evolve_modes(cfg)[0]):
             g_i, _ = ground_excited(k, 1.0, 10.0)
             g_f, e_f = ground_excited(k, 1.0, 0.0)
             p = excitation_prob(U, k, 1.0, 0.0, 1.0, 10.0)
@@ -563,6 +562,22 @@ def _thread_case(case, n_spins):
     return ising_cfg(T, dt, strategy, nkicks=nkicks, width=width, n_spins=n_spins)
 
 
+def _spy_on_evolve_rows(monkeypatch):
+    """The arguments, defaults included, of every su2._evolve_rows call that
+    freefermion makes from here on, in a list that fills as they happen."""
+    calls, evolve_rows = [], freefermion._evolve_rows
+    signature = inspect.signature(evolve_rows)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return evolve_rows(*args, **kwargs)
+
+    monkeypatch.setattr(freefermion, "_evolve_rows", spy)
+    return calls
+
+
 class TestThreads:
     """Contiguous mode blocks on threads give the bits of the serial run."""
 
@@ -611,19 +626,21 @@ class TestThreads:
         usable CPUs."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        seen, block = [], freefermion._evolve_block
-
-        def spy(cfg, fn, layout, cols, track_err):
-            seen.append(cols)
-            return block(cfg, fn, layout, cols, track_err)
-
-        monkeypatch.setattr(freefermion, "_evolve_block", spy)
-        ks = momentum_grid(2 * nmodes)
-        U, _ = evolve_modes(_thread_case("lin", 2 * nmodes), ks, threads=threads)
-        seen.sort(key=lambda c: c.start)
-        assert [c.stop - c.start for c in seen] == widths
-        assert [c.start for c in seen] == [0] + [c.stop for c in seen[:-1]]
+        calls = _spy_on_evolve_rows(monkeypatch)
+        U, _ = evolve_modes(_thread_case("lin", 2 * nmodes), threads=threads)
+        seen = sorted((call["col0"], call["carry"].shape[1]) for call in calls)
+        assert [width for _, width in seen] == widths
+        assert [col0 for col0, _ in seen] == [0] + [c + w for c, w in seen[:-1]]
         assert U.shape == (nmodes, 2, 2)
+
+    def test_one_cell_builds_its_rows_once(self, monkeypatch):
+        """Every block of a finite-width kicked cell on 3 threads steps the
+        same row table: its frozen widths are one array."""
+        calls = _spy_on_evolve_rows(monkeypatch)
+        evolve_modes(_thread_case("finite-width-kicks", 20), track_err=True, threads=3)
+        seen = [call["frozen"] for call in calls]
+        assert len(seen) == 3 and seen[0] is not None
+        assert all(frozen is seen[0] for frozen in seen)
 
     @pytest.mark.parametrize("bad,reported", [
         ([(5000, 0), (4500, 6), (4500, 4), (8500, 1)], (4500, 4)),

@@ -7,12 +7,7 @@ import pytest
 
 from quenchsim.freefermion import ChainConfig, Regime, _bloch_components, momentum_grid
 from quenchsim.landau_zener import LZConfig
-from quenchsim.schedules import (
-    Strategy,
-    kick_train,
-    lz_geodesic_schedule,
-    xy_geodesic_schedule,
-)
+from quenchsim.schedules import Strategy, _geodesic_angles, kick_train, xy_geodesic_schedule
 
 from oracles import fs_metric_gamma, fs_metric_h
 
@@ -43,7 +38,7 @@ def mode_params(cfg, k, frac):
 
 def lz_field(x_i, x_f, eps, frac):
     """Sweep field x = eps tan(theta) on the geodesic at the scaled times frac."""
-    th_i, th_f = lz_geodesic_schedule(x_i, x_f, eps)
+    th_i, th_f = _geodesic_angles(x_i, x_f, eps)
     return eps * np.tan(th_i + (th_f - th_i) * np.asarray(frac, dtype=float))
 
 
@@ -70,9 +65,12 @@ class TestLinearSchedule:
 
 
 class TestLZGeodesicSchedule:
+    """The two-level sweep's geodesic, x = eps tan(theta): evolve_lz takes
+    its endpoints from _geodesic_angles(x_i, x_f, eps)."""
+
     def test_theta_endpoint_value(self):
         """theta_i = arctan(-100) for x_i=-10, eps=0.1."""
-        th_i, _ = lz_geodesic_schedule(-10.0, 10.0, 0.1)
+        th_i, _ = _geodesic_angles(-10.0, 10.0, 0.1)
         assert th_i == pytest.approx(math.atan(-100.0), abs=1e-15)
         assert th_i == pytest.approx(-1.5607966601082315, abs=1e-12)
 
@@ -89,15 +87,19 @@ class TestLZGeodesicSchedule:
         assert np.allclose(lz_field(3.0, 3.0, 0.1, t), 3.0)
 
     def test_rejects_zero_eps(self):
-        with pytest.raises(ValueError):
-            lz_geodesic_schedule(-1.0, 1.0, 0.0)
+        """Both geodesic strategies need eps != 0, where theta is defined;
+        the linear sweep does not."""
+        for strategy, kicks in ((Strategy.GEO, None), (Strategy.GEO_JUMP, kick_train(3, 1e-3))):
+            with pytest.raises(ValueError, match="^geodesic strategies require eps != 0$"):
+                LZConfig(0.0, -1.0, 1.0, 1.0, 1e-3, strategy=strategy, kicks=kicks)
+        LZConfig(0.0, -1.0, 1.0, 1.0, 1e-3)
 
     def test_negative_eps_takes_the_short_arc(self):
         """At eps < 0 the endpoints atan2(-+10, -0.1) = -+1.5808 lie more
         than pi apart; the path takes the short arc through theta = -pi
         (x = 0), so x(t) runs monotonically from -10 to 10 and crosses no
         tan pole."""
-        th_i, th_f = lz_geodesic_schedule(-10.0, 10.0, -0.1)
+        th_i, th_f = _geodesic_angles(-10.0, 10.0, -0.1)
         assert abs(th_f - th_i) <= math.pi
         x = lz_field(-10.0, 10.0, -0.1, np.linspace(0.0, 1.0, 10001))
         assert np.all(np.diff(x) > 0)
