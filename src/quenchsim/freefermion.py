@@ -327,8 +327,6 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
     dt = cfg.dt_eff
     dlam = dt / cfg.T
     if cfg.kicks is None:
-        # every row's scaled midpoint, built once: built per chunk and freed at
-        # once, it fragmented the heap (wide-geo-modes peak RSS +30 MB)
         n_rows, frozen, area = cfg.n_steps, None, None
         lam = (np.arange(n_rows) + 0.5) * dt / cfg.T
     else:

@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,12 +582,13 @@ def _spy_on_evolve_rows(monkeypatch):
 class TestThreads:
     """Contiguous mode blocks on threads give the bits of the serial run."""
 
-    @pytest.mark.parametrize("n_spins", [6, 14, 20])
+    @pytest.mark.parametrize("n_spins", [6, 14, 20, 250])
     @pytest.mark.parametrize("case", ["lin", "collective-geo", "per-mode-geo-anisotropy",
                                       "single-sample-kicks", "finite-width-kicks"])
     def test_bitwise_equal_for_any_thread_count(self, case, n_spins):
-        """M = 3 (one block at any count), 7 (divisible by neither 2 nor 3)
-        and 10; no thread outlives run_chain."""
+        """M = 3 (one block at any count), 7 (divisible by neither 2 nor 3),
+        10 and 125, whose chunks split into row blocks of 1024 rows on one
+        thread and 2048 on two or three; no thread outlives run_chain."""
         cfg = _thread_case(case, n_spins)
         before = threading.active_count()
         runs = [run_chain(cfg, track_err=True, threads=t) for t in (1, 2, 3)]
@@ -675,6 +677,23 @@ class TestThreads:
                 run_chain(cfg, track_err=True, threads=threads)
             assert str(info.value) == \
                 "non-finite control at row %d, mode index %d" % reported
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_cell_traces_under_64_mb(self, threads):
+        """The Ising collective geodesic at N = 2000 with track_err: row
+        blocks bound what each thread holds (one 4096-row chunk of 1000
+        modes traced 380 MB).  tracemalloc sees numpy's buffers and, unlike
+        RSS, does not move with the allocator's arenas."""
+        cfg = ising_cfg(5.0, 1e-3, Strategy.GEO, n_spins=2000)
+        tracemalloc.start()
+        try:
+            evolve_modes(cfg, track_err=True, threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestUsableCpus:
