@@ -105,10 +105,13 @@ def _parse_rates(tokens: list) -> list[float]:
         if count < 2:
             raise ValueError(f"log rate range needs at least 2 points, got {count}")
         step = (math.log10(hi) - math.log10(lo)) / (count - 1)
-        return [10 ** (math.log10(lo) + i * step) for i in range(count)]
-    rates = [_rate_token(float, t) for t in tokens]
-    if not all(0 < r < math.inf for r in rates):
-        raise ValueError(f"rates must be positive and finite, got {rates}")
+        rates = [10 ** (math.log10(lo) + i * step) for i in range(count)]
+    else:
+        rates = [_rate_token(float, t) for t in tokens]
+        if not all(0 < r < math.inf for r in rates):
+            raise ValueError(f"rates must be positive and finite, got {rates}")
+    if 1.0 / min(rates) == math.inf:
+        raise ValueError(f"--rates: rate {min(rates)!r} is too small: T = 1/rate overflows")
     return rates
 
 

@@ -27,11 +27,12 @@ pulses in; the run is the only holder of T.  evolve_modes runs them all
 through su2._evolve_rows, the stepping loop the Landau-Zener engine shares,
 and reads only the end of each mode's product.
 Modes never mix, so evolve_modes builds the cell's sampler and rows once
-and runs the loop on contiguous blocks of at least two modes, each on its
-own thread (numpy releases the GIL inside its ufuncs), joined in mode order.
-Every operation is elementwise in the mode, or a reduction over rows that
-numpy runs row by row on any block of two or more modes, so U and the error
-are bitwise the same for any thread count.
+and runs the loop on contiguous blocks of at least two modes, few enough
+that a chunk of one block stays small, spread over threads (numpy releases
+the GIL inside its ufuncs) and joined in mode order.  Every operation is
+elementwise in the mode, or a reduction over rows that numpy runs row by
+row on any block of two or more modes, so U and the error are bitwise the
+same for any block count and any thread count.
 A run uses the process's usable CPUs unless told otherwise; per-(mode, rate)
 work is pure, so cells can also be farmed out to worker processes with an
 ordered reduction.
@@ -49,12 +50,14 @@ from typing import Callable
 import numpy as np
 
 from .schedules import KickTrain, Run, Strategy, xy_geodesic_schedule
-from .su2 import _evolve_rows, _quat_identity, _quat_to_unitary, expm_bloch_batch
+from .su2 import (_CHUNK, _evolve_rows, _NonFiniteControl, _quat_identity, _quat_to_unitary,
+                  expm_bloch_batch)
 # wrapped by name in perfbench/tracer.py
 from .su2 import _ordered_product, _phase_ramp, _quat_mul, _quat_steps  # noqa: F401
 
 _RAMP_PTS = 20001
-_RAMP_BLOCK = 1024
+# (rows x modes) entries, 1 MB a float slab, of a mode block's chunk or a ramp table block
+_BLOCK_ELEMS = 1 << 17
 
 
 def _usable_cpus() -> int:
@@ -238,14 +241,15 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
     w = np.empty(_RAMP_PTS)
     # blocks of grid rows bound the (rows, M) tables; each row sums along
     # its own contiguous axis, so the blocking does not change w
-    for lo in range(0, _RAMP_PTS, _RAMP_BLOCK):
-        a, d = cfg.generator(grid[lo : lo + _RAMP_BLOCK, None], s, c)
+    step = max(1, _BLOCK_ELEMS // len(ks))
+    for lo in range(0, _RAMP_PTS, step):
+        a, d = cfg.generator(grid[lo : lo + step, None], s, c)
         e2 = a * a + d * d
         # (e2 dtheta/dp)^2: d^2 when h varies, (a sin k)^2 when gamma does
         num = 0.25 * (d if cfg.varies_h else a * s) ** 2
         # a term that is exactly 0 stays 0 where (a^2 + d^2)^2 underflows
         g = np.divide(num, e2 * e2, out=np.zeros(e2.shape), where=num != 0)
-        w[lo : lo + _RAMP_BLOCK] = np.sqrt(g.sum(axis=1))
+        w[lo : lo + step] = np.sqrt(g.sum(axis=1))
     arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
 
     def ramp(frac):
@@ -317,10 +321,11 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
     generator vanishes: the phase is frozen there and the error integral
     grows by e^{i phi} per unit lambda.  The rows are built once per cell.
 
-    The modes run in min(threads, M // 2) contiguous blocks, one thread
-    each (threads=None: the process's usable CPUs); U and err are bitwise
-    the same for every thread count.  A non-finite control is reported at
-    its smallest row, then smallest mode, as a serial run finds it.
+    The modes run in contiguous blocks of at least two modes, at least one
+    per thread (threads=None: the process's usable CPUs) and enough that a
+    chunk of one holds about _BLOCK_ELEMS (rows x modes), on min(threads,
+    blocks) threads; U and err are bitwise the same for every count.  A
+    non-finite control is reported at its smallest row, then smallest mode.
     """
     nmodes = cfg.n_spins // 2
     fn = _bloch_components(cfg, momentum_grid(cfg.n_spins))
@@ -340,32 +345,36 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
         frozen = np.append(np.where(jump, gap, 0.0), 1.0 - end_lam[-1])
 
     def block(cols: slice):
-        """su2._evolve_rows on the modes cols: (quaternions (4, Mb), err (Mb,) or None)."""
+        """su2._evolve_rows on the modes cols: (quaternions, err or None), or its error."""
         def sample(rows):
             return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
 
-        Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),
-                                       dlam, track_err, frozen, col0=cols.start)
+        try:
+            Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),
+                                           dlam, track_err, frozen, col0=cols.start)
+        except _NonFiniteControl as e:
+            return e
         return Uq, (np.abs(integral) if track_err else None)
 
-    nblocks = max(1, min(threads or _usable_cpus(), nmodes // 2))
+    threads = threads or _usable_cpus()
+    nblocks = max(1, min(nmodes // 2,
+                         max(threads, math.ceil(nmodes * min(n_rows, _CHUNK) / _BLOCK_ELEMS))))
     ends = [nmodes * i // nblocks for i in range(nblocks + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
-    if nblocks == 1:
+    if min(threads, nblocks) == 1:
         # in the calling thread: on a pool thread, one-thread per-mode
         # geodesic cells (a sweep worker's) peaked 13% higher in RSS
-        parts = [block(blocks[0])]
+        parts = [block(b) for b in blocks]
     else:
         # imported here: at module level it costs every process 0.6 MB
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(nblocks) as pool:
-            futures = [pool.submit(block, b) for b in blocks]
-        failed = [e for e in (f.exception() for f in futures) if e is not None]
-        if failed:
-            # the serial run's error: the smallest (row, mode) of any block
-            raise min(failed, key=lambda e: getattr(e, "at", (-1, -1)))
-        parts = [f.result() for f in futures]
+        with ThreadPoolExecutor(min(threads, nblocks)) as pool:
+            parts = list(pool.map(block, blocks))
+    failed = [part for part in parts if isinstance(part, _NonFiniteControl)]
+    if failed:
+        # what one block of every mode raises: the smallest (row, mode)
+        raise min(failed, key=lambda e: e.at)
     U = _quat_to_unitary(np.concatenate([uq for uq, _ in parts], axis=1))
     return U, (np.concatenate([err for _, err in parts]) if track_err else None)
 

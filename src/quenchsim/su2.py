@@ -5,15 +5,13 @@ step one traceless generator H = -2 (a Z + d X).  _evolve_rows is their
 one chunk loop: an engine hands it a sampler of (a, d) over rows and reads
 either the end of the product (the chain: a tree reduction and a summed
 error) or every node of it (a trajectory: a prefix scan and a running
-error).  The tree path builds each chunk in aligned blocks of about 2^17
-(rows x modes), so a block's temporaries stay small, with the bits of the
-whole chunk; a one-mode column is never split, because numpy sums it
-pairwise rather than row by row.  Under the loop lies the vectorized
-kernel: step quaternions, their time-ordered products and the
-adiabaticity-error terms e^{i phi} _phase_ramp(dphi) dlambda of the
-piecewise-linear phase.  The propagator exp(-i H dt) of each step is
-closed form, through cos/sin of |H| dt, so no loop touches a generic
-matrix exponential.  A quaternion
+error).  Every operation of the loop acts on each mode separately, so a
+caller bounds its memory by handing it few modes at a time (the chain's
+mode blocks).  Under the loop lies the vectorized kernel: step
+quaternions, their time-ordered products and the adiabaticity-error terms
+e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.  The
+propagator exp(-i H dt) of each step is closed form, through cos/sin of
+|H| dt, so no loop touches a generic matrix exponential.  A quaternion
 array has its component axis first, (4, ...): a chunk of steps is
 (4, S, M) and a carried product (4, M), so every ufunc of the kernel runs
 over one contiguous (S, M) slab per component.
@@ -57,12 +55,9 @@ def expm_bloch_batch(dx, dy, dz, dt: float) -> np.ndarray:
 # multiplies on contiguous component slabs instead of batched complex 2x2
 # products.  _evolve_rows feeds steps in chunks of _CHUNK; the tree product's
 # bits depend on where the chunks end, so changing it changes results in the
-# last place.  The tree path builds each chunk in aligned blocks of
-# _block_rows(M) rows, about _BLOCK_ELEMS (rows x modes) and a power of two
-# from 256 to _CHUNK, which bounds the loop's live memory and keeps the
-# chunk's bits; a one-mode column is never split.
+# last place.  A chunk of M modes holds (4, _CHUNK, M) steps and their tree
+# levels at once; freefermion sizes its mode blocks to keep that small.
 _CHUNK = 4096
-_BLOCK_ELEMS = 1 << 17
 
 
 def _quat_steps(a: np.ndarray, d: np.ndarray, dt) -> np.ndarray:
@@ -178,25 +173,21 @@ def _phase_ramp(dphi: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + 1j * dphi / 2.0, out)
 
 
-def _err_terms(phase0, dphi: np.ndarray, dlam, grown=0.0):
+def _err_terms(phase0, dphi: np.ndarray, dlam):
     """Contributions of consecutive segments to integral of e^{i phi} d lambda.
 
     Axis 0 of dphi runs over segments: on segment j the phase difference phi
     grows linearly by dphi[j] across a lambda-width dlam[j] (a scalar, or an
     array broadcasting against dphi).  A segment with dphi = 0 is a frozen
-    stretch.  The phase at each segment boundary is phase0 plus the growth
-    before it, summed left to right from grown (the growth since phase0
-    before dphi[0], when these segments continue a run).
-    Returns (terms, phi, grown): terms[j] = e^{i phi_j} _phase_ramp(dphi[j])
-    dlam[j], phi, one row longer than dphi, the phase at every segment
-    boundary, and the growth summed through the last segment.
+    stretch.  Returns (terms, phi): terms[j] = e^{i phi_j} _phase_ramp(dphi[j])
+    dlam[j], and phi, one row longer than dphi, the phase at every segment
+    boundary starting from phase0.
     """
-    run = np.empty((len(dphi) + 1,) + dphi.shape[1:])
-    run[0] = grown
-    run[1:] = dphi
-    np.cumsum(run, axis=0, out=run)
-    phi = run + phase0
-    return np.exp(1j * phi[:-1]) * _phase_ramp(dphi) * dlam, phi, run[-1]
+    phi = np.empty((len(dphi) + 1,) + dphi.shape[1:])
+    phi[0] = phase0
+    np.cumsum(dphi, axis=0, out=phi[1:])
+    phi[1:] += phase0
+    return np.exp(1j * phi[:-1]) * _phase_ramp(dphi) * dlam, phi
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +203,6 @@ class _NonFiniteControl(RuntimeError):
         self.at = (row, mode)
 
 
-def _block_rows(nmodes: int) -> int:
-    """Rows per block of a chunk's tree path for nmodes modes: about
-    _BLOCK_ELEMS (rows x modes), clamped to [256, _CHUNK] and rounded down to
-    a power of two.  One mode is never split: numpy sums an (S, 1) column
-    pairwise, not row by row, so a split would move the error's last bits."""
-    if nmodes == 1:
-        return _CHUNK
-    rows = min(max(_BLOCK_ELEMS // nmodes, 256), _CHUNK)
-    return 1 << (rows.bit_length() - 1)
-
-
 def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err: bool = False,
                  frozen=None, nodes=None, col0: int = 0):
     """Step rows 0..n_rows-1 onto carry (4, M), _CHUNK rows at a time;
@@ -234,67 +214,50 @@ def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err:
     grows by -4 |(a, d)| h and lambda by dlam.  frozen, n_rows + 1 entries,
     is the lambda-width of a stretch with no phase growth before each row
     (0: none) and, last, after the last row.  A non-finite a or d raises
-    _NonFiniteControl before any step of its block is built, at its first
+    _NonFiniteControl before any step of its chunk is built, at its first
     row, then column (+ col0 for the global mode index).
 
     nodes(rows, prefix, phi, integral), when given, gets the product (back
     on |q| = 1), the phase and the integral after every row, all (.., S, M);
     it needs track_err and no frozen.  Without it only the end is built: a
-    tree product and a summed error, over aligned blocks of _block_rows(M)
-    rows of each chunk, so that the steps, tree levels and error terms of
-    one block stay small.  The blocks keep the whole chunk's bits: aligned
-    power-of-two blocks pair exactly as the chunk's tree does, each block's
-    phases continue the chunk's running sum of dphi, and each block's row
-    sum starts from the previous blocks' sum, which is the order numpy
-    sums the rows of a whole chunk of two or more modes in.
+    tree product and a summed error.
     """
     phase = np.zeros(carry.shape[1:])
     integral = np.zeros(carry.shape[1:], dtype=complex)
-    step = _CHUNK if nodes is not None else _block_rows(carry.shape[1])
     for start in range(0, n_rows, _CHUNK):
-        stop = min(start + _CHUNK, n_rows)
-        prods, grown, acc = [], 0.0, None
-        for lo in range(start, stop, step):
-            rows = slice(lo, min(lo + step, stop))
-            a, d, h = sample(rows)
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-                bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
-                raise _NonFiniteControl(lo + int(bad[0]), col0 + int(bad[1]))
-            if nodes is None:
-                prods.append(_ordered_product(_quat_steps(a, d, h)))
-            else:
-                prefix = _prefix_product(_quat_steps(a, d, h), carry)
-                # back onto |q| = 1: reassociated products drift the norm
-                # systematically (-7.9e-12 over 1e6 steps of a linear sweep)
-                q0, q1, q2, q3 = prefix
-                prefix /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
-                carry = prefix[:, -1]
-            if not track_err:
-                continue
-            dphi, w = -4.0 * np.hypot(a, d) * h, dlam
-            if frozen is not None:
-                at = np.flatnonzero(frozen[rows])
-                dphi = np.insert(dphi, at, 0.0, axis=0)
-                w = np.insert(np.full(rows.stop - lo, dlam), at, frozen[rows][at])[:, None]
-            terms, phi, grown = _err_terms(phase, dphi, w, grown)
-            if nodes is None:
-                # numpy sums along rows row by row when M >= 2 (an (S, 1)
-                # column pairwise, in other last bits), so starting a block
-                # from the sum so far continues the chunk's sum
-                if acc is not None:
-                    terms[0] += acc
-                acc = terms.sum(axis=0)
-            else:
-                cum = integral + np.cumsum(terms, axis=0)
-                integral = cum[-1]
-                nodes(rows, prefix, phi[1:], cum)
+        rows = slice(start, min(start + _CHUNK, n_rows))
+        a, d, h = sample(rows)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+            bad = np.argwhere(~(np.isfinite(a) & np.isfinite(d)))[0]
+            raise _NonFiniteControl(start + int(bad[0]), col0 + int(bad[1]))
         if nodes is None:
-            carry = _quat_mul(_ordered_product(np.stack(prods, axis=1)), carry)
-        if track_err:
-            phase = phi[-1]
-            if nodes is None:
-                integral += acc
+            carry = _quat_mul(_ordered_product(_quat_steps(a, d, h)), carry)
+        else:
+            prefix = _prefix_product(_quat_steps(a, d, h), carry)
+            # back onto |q| = 1: reassociated products drift the norm
+            # systematically (-7.9e-12 over 1e6 steps of a linear sweep)
+            q0, q1, q2, q3 = prefix
+            prefix /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+            carry = prefix[:, -1]
+        if not track_err:
+            continue
+        dphi, w = -4.0 * np.hypot(a, d) * h, dlam
+        if frozen is not None:
+            at = np.flatnonzero(frozen[rows])
+            dphi = np.insert(dphi, at, 0.0, axis=0)
+            w = np.insert(np.full(rows.stop - start, dlam), at, frozen[rows][at])[:, None]
+        terms, phi = _err_terms(phase, dphi, w)
+        phase = phi[-1]
+        if nodes is None:
+            # numpy sums along rows row by row when M >= 2, but an (S, 1)
+            # column pairwise, in other last bits: so a caller that splits
+            # the modes keeps the bits with blocks at least two modes wide
+            integral += terms.sum(axis=0)
+        else:
+            cum = integral + np.cumsum(terms, axis=0)
+            integral = cum[-1]
+            nodes(rows, prefix, phi[1:], cum)
     if track_err and frozen is not None:
-        terms, _, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
+        terms, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
         integral += terms[0]
     return carry, phase, integral

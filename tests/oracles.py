@@ -5,7 +5,8 @@ the engines in quenchsim do not run: among them the single-sample kick
 product as a plain matrix product (kick_product), its leading-order closed
 form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
 (kz_exponent); the closed-form final state of the Landau-Zener geodesic
-(lz_geodesic_final_state); the quaternion kernel with its components interleaved
+(lz_geodesic_final_state) and the Weber-function propagator of every
+linear ramp (exact_linear_U); the quaternion kernel with its components interleaved
 last, (..., 4), which the engines' component-first kernel must match bit
 for bit (quat_steps_interleaved and its products); and a table writer that
 formats every cell on its own, each number as repr(float(v)) (fmt_table,
@@ -25,12 +26,14 @@ import io
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 IDENT = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+HADAMARD = (PAULI_X + PAULI_Z) / math.sqrt(2)  # swaps X and Z under conjugation
 
 SPIN_UP = np.array([1, 0], dtype=complex)
 SPIN_DOWN = np.array([0, 1], dtype=complex)
@@ -228,6 +231,43 @@ def lz_geodesic_final_state(x_i: float, x_f: float, eps: float, T: float,
     half_y = Herm2(0.0, np.array([0.0, 0.5, 0.0]))
     frame = expm_herm2(Herm2(0.0, np.array([0.0, -omega / 2, 0.5])), T)
     return expm_herm2(half_y, th_f) @ frame @ expm_herm2(half_y, th_i).conj().T @ psi0
+
+
+def exact_linear_U(z_i: float, z_f: float, x: float, T: float) -> np.ndarray:
+    """Exact propagator U(T), dt-free, of H(t) = -2 (z(t) Z + x X) with z
+    running linearly from z_i to z_f over [0, T]: a finite-time
+    Landau-Zener problem, solved by parabolic-cylinder (Weber) functions
+    (Vitanov & Garraway, Phys. Rev. A 53, 4288 (1996)), at 30 digits.
+
+    With v = (z_f - z_i)/T, tau = t + z_i/v, A = -2v and g = -2x the
+    amplitudes obey i c1' = A tau c1 + g c2 and i c2' = g c1 - A tau c2, so
+    c1'' + (A^2 tau^2 + g^2 + i A) c1 = 0.  Its solutions are
+    c1 = D_nu(+-beta tau) with beta = sqrt(2 i A) and nu = -i g^2/(2A), and
+    c2 = (i c1' - A tau c1)/g.  The two solutions are the columns of
+    Phi(tau), and U = Phi(z_f/v) Phi(z_i/v)^-1.  At v = 0 H is constant
+    and U a plain exponential.  Needs x != 0.
+    """
+    if x == 0:
+        raise ValueError("exact_linear_U needs x != 0")
+    if z_i == z_f:
+        return expm_herm2(Herm2(0.0, np.array([-2.0 * x, 0.0, -2.0 * z_i])), T)
+    with mpmath.workdps(30):
+        v = (mpmath.mpf(z_f) - mpmath.mpf(z_i)) / T
+        A, g = -2 * v, -2 * mpmath.mpf(x)
+        beta, nu = mpmath.sqrt(2j * A), -1j * g * g / (2 * A)
+
+        def phi(tau):
+            cols = []
+            for sign in (1, -1):
+                z = sign * beta * tau
+                c1 = mpmath.pcfd(nu, z)
+                # D_nu'(z) = z/2 D_nu(z) - D_{nu+1}(z)
+                dc1 = sign * beta * (z / 2 * c1 - mpmath.pcfd(nu + 1, z))
+                cols.append((c1, (1j * dc1 - A * tau * c1) / g))
+            return mpmath.matrix([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+
+        U = phi(z_f / v) * mpmath.inverse(phi(z_i / v))
+        return np.array([[complex(U[i, j]) for j in range(2)] for i in range(2)])
 
 
 def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -> np.ndarray:

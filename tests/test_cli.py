@@ -386,6 +386,7 @@ class TestInputChecks:
           "--rates", "1"], "delta_t", "nan"),
         (["chain", "--rates", "abc"], "--rates", "'abc'"),
         (["chain", "--rates", "log", "0.1", "1", "abc"], "--rates", "'abc'"),
+        (["chain", "--rates", "1e-310", "--spins", "4"], "--rates", "1e-310"),
     ])
     def test_non_finite_number_exits_2_before_evolving(self, args, field, value, tmp_path,
                                                         capsys, monkeypatch):

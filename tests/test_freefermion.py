@@ -25,10 +25,12 @@ from quenchsim.freefermion import (
 from quenchsim.schedules import Strategy, kick_train, xy_geodesic_schedule
 
 from oracles import (
+    HADAMARD,
     IDENT,
     PAULI_X,
     adiabatic_error,
     eig2,
+    exact_linear_U,
     fidelity,
     ground_excited,
     kick_product,
@@ -401,10 +403,11 @@ class TestCollectiveRamp:
         (Regime.ANISOTROPY, (0.2, 1.5), (0.5, 0.5)),
         (Regime.GAPLESS, (1.0, -1.0), (1.0, 1.0)),
     ], ids=["ising", "anisotropy", "gapless"])
-    def test_table_keeps_the_bits_of_one_whole_table(self, regime, gamma, h):
+    def test_table_keeps_the_bits_of_one_whole_table(self, regime, gamma, h, monkeypatch):
         """The ramp builds its arc-length table in blocks of grid rows; it
         interpolates the same table as one built from a single (rows, M)
-        metric array."""
+        metric array, with its own budget and with one of 8 rows of the 125
+        modes, which leaves a last block of 1 row."""
         cfg = ChainConfig(n_spins=250, regime=regime, gamma_i=gamma[0], gamma_f=gamma[1],
                           h_i=h[0], h_f=h[1], T=2.0, dt=1e-3, strategy=Strategy.GEO)
         ks = momentum_grid(250)
@@ -418,6 +421,9 @@ class TestCollectiveRamp:
         arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
         frac = np.linspace(0.0, 1.0, 1001)
         ref = np.interp(arclen[-1] * (frac if p_i <= p_f else 1.0 - frac), arclen, grid)
+        assert np.array_equal(collective_geodesic_ramp(cfg)(frac), ref)
+        monkeypatch.setattr(freefermion, "_BLOCK_ELEMS", 8 * 125)
+        assert freefermion._RAMP_PTS % 8 == 1
         assert np.array_equal(collective_geodesic_ramp(cfg)(frac), ref)
 
     def test_underflowing_zero_metric_term_counts_as_zero(self):
@@ -519,6 +525,65 @@ class TestAdiabaticityError:
         assert np.abs(err - finite_pulse_err_loop(cfg, ks)).max() < 1e-12
 
 
+class TestExactLinearRamp:
+    """Per-mode U of a linear ramp against oracles.exact_linear_U, phases
+    included.  The Ising line is its H = -2 (z Z + x X) with z = h - cos k
+    and x = sin k; a gamma line is, after a Hadamard basis change, with
+    z = gamma sin k and x = h - cos k."""
+
+    LINES = {
+        "ising": (16, Regime.ISING, (1.0, 1.0), (10.0, 0.0), 10.0),
+        "anisotropy": (12, Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5), 20.0),
+        "gapless": (12, Regime.GAPLESS, (0.2, 1.5), (1.0, 1.0), 20.0),
+    }
+
+    @staticmethod
+    def exact(n_spins, regime, gamma, h, T):
+        ks = momentum_grid(n_spins)
+        s, c = np.sin(ks), np.cos(ks)
+        if regime is Regime.ISING:
+            return np.array([exact_linear_U(h[0] - ck, h[1] - ck, sk, T) for sk, ck in zip(s, c)])
+        return np.array([HADAMARD @ exact_linear_U(gamma[0] * sk, gamma[1] * sk, h[0] - ck, T)
+                         @ HADAMARD for sk, ck in zip(s, c)])
+
+    @classmethod
+    def errors(cls, line, dts):
+        """max over modes of the spectral norm of U - exact, at each dt."""
+        n_spins, regime, gamma, h, T = cls.LINES[line]
+        exact = cls.exact(n_spins, regime, gamma, h, T)
+        return [np.linalg.norm(evolve_modes(ChainConfig(n_spins, regime, *gamma, *h, T, dt),
+                                            threads=1)[0] - exact, ord=2, axis=(1, 2)).max()
+                for dt in dts]
+
+    @pytest.mark.parametrize("line,bound", [
+        ("ising", 4e-7), ("anisotropy", 4e-8), ("gapless", 2.5e-8),
+    ])
+    def test_matches_the_exact_propagator(self, line, bound):
+        """dt = 1e-3: 3.26e-7 (Ising h 10 -> 0, N = 16, T = 10), 3.2e-8
+        (anisotropy h = 0.5, gamma -1 -> 1, N = 12, T = 20) and 1.8e-8
+        (gapless gamma 0.2 -> 1.5, N = 12, T = 20)."""
+        assert self.errors(line, [1e-3])[0] < bound
+
+    @pytest.mark.parametrize("line", ["ising", "anisotropy", "gapless"])
+    def test_midpoint_error_is_second_order(self, line):
+        """Each tenfold cut of dt, 1e-2 -> 1e-3 -> 1e-4, cuts the error a
+        hundredfold."""
+        errs = self.errors(line, [1e-2, 1e-3, 1e-4])
+        orders = np.log10(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 2.0) < 0.05), orders
+
+    def test_constant_generator_is_a_plain_exponential(self):
+        """v = 0: the oracle's exponential is what the steps of a constant
+        generator compose to, up to rounding; it is unitary."""
+        U, _ = evolve_modes(ising_cfg(3.0, 1e-2, Strategy.LIN, n_spins=8, h_i=0.7, h_f=0.7),
+                            threads=1)
+        ks = momentum_grid(8)
+        exact = np.array([exact_linear_U(0.7 - math.cos(k), 0.7 - math.cos(k), math.sin(k), 3.0)
+                          for k in ks])
+        assert np.abs(U - exact).max() < 1e-12
+        assert np.abs(exact @ exact.conj().transpose(0, 2, 1) - IDENT).max() < 1e-14
+
+
 class TestIndependentPaths:
     def test_kick_product_matches_narrow_finite_pulses(self):
         """The single-sample kick product against stepwise integration of
@@ -580,15 +645,16 @@ def _spy_on_evolve_rows(monkeypatch):
 
 
 class TestThreads:
-    """Contiguous mode blocks on threads give the bits of the serial run."""
+    """Contiguous mode blocks, on any number of threads, give the bits of one
+    block of every mode."""
 
     @pytest.mark.parametrize("n_spins", [6, 14, 20, 250])
     @pytest.mark.parametrize("case", ["lin", "collective-geo", "per-mode-geo-anisotropy",
                                       "single-sample-kicks", "finite-width-kicks"])
     def test_bitwise_equal_for_any_thread_count(self, case, n_spins):
         """M = 3 (one block at any count), 7 (divisible by neither 2 nor 3),
-        10 and 125, whose chunks split into row blocks of 1024 rows on one
-        thread and 2048 on two or three; no thread outlives run_chain."""
+        10 and 125, which runs in 4 blocks of 31 or 32 modes at any thread
+        count (in 1 with few kicked rows); no thread outlives run_chain."""
         cfg = _thread_case(case, n_spins)
         before = threading.active_count()
         runs = [run_chain(cfg, track_err=True, threads=t) for t in (1, 2, 3)]
@@ -613,27 +679,48 @@ class TestThreads:
         assert got[0].tobytes() == ref[0].tobytes()
         assert got[1].tobytes() == ref[1].tobytes()
 
-    @pytest.mark.parametrize("nmodes,threads,cpus,widths", [
-        (3, 3, 2, [3]),
-        (7, 2, 2, [3, 4]),
-        (7, 3, 2, [2, 2, 3]),
-        (7, 8, 2, [2, 2, 3]),
-        (10, None, 2, [5, 5]),
-        (10, None, 1, [10]),
-        (1, 4, 4, [1]),
+    @pytest.mark.parametrize("nmodes,threads,cpus,widths,case", [
+        (3, 3, 2, [3], "lin"),
+        (7, 2, 2, [3, 4], "lin"),
+        (7, 3, 2, [2, 2, 3], "lin"),
+        (7, 8, 2, [2, 2, 3], "lin"),
+        (10, None, 2, [5, 5], "lin"),
+        (10, None, 1, [10], "lin"),
+        (1, 4, 4, [1], "lin"),
+        (125, 1, 2, [31, 31, 31, 32], "lin"),
+        (1000, 2, 2, [31, 31, 31, 32] * 8, "lin"),
+        (125, 1, 2, [125], "finite-width-kicks"),
     ])
     def test_blocks_are_contiguous_and_at_least_two_modes_wide(
-            self, nmodes, threads, cpus, widths, monkeypatch):
-        """min(threads, M // 2) blocks in mode order; threads=None takes the
-        usable CPUs."""
+            self, nmodes, threads, cpus, widths, case, monkeypatch):
+        """At least one block per thread (threads=None takes the usable CPUs)
+        and enough that a chunk of one, min(rows, 4096) x its modes, holds
+        about 2^17 entries, but at most M // 2, in mode order: 4 blocks for
+        125 modes and 32 for 1000 on 10001 rows, 1 for 125 modes on the 12
+        rows of a kicked cell."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         calls = _spy_on_evolve_rows(monkeypatch)
-        U, _ = evolve_modes(_thread_case("lin", 2 * nmodes), threads=threads)
+        U, _ = evolve_modes(_thread_case(case, 2 * nmodes), threads=threads)
         seen = sorted((call["col0"], call["carry"].shape[1]) for call in calls)
         assert [width for _, width in seen] == widths
         assert [col0 for col0, _ in seen] == [0] + [c + w for c, w in seen[:-1]]
         assert U.shape == (nmodes, 2, 2)
+
+    def test_bitwise_equal_for_any_block_count(self, monkeypatch):
+        """One cell on one thread through 1, 4 and 62 mode blocks, the budget
+        made large, kept and made 1."""
+        cfg = _thread_case("lin", 250)
+        calls = _spy_on_evolve_rows(monkeypatch)
+        runs = []
+        for budget, nblocks in ((1 << 30, 1), (freefermion._BLOCK_ELEMS, 4), (1, 62)):
+            monkeypatch.setattr(freefermion, "_BLOCK_ELEMS", budget)
+            calls.clear()
+            runs.append(evolve_modes(cfg, track_err=True, threads=1))
+            assert len(calls) == nblocks
+        (U, err), rest = runs[0], runs[1:]
+        for got_U, got_err in rest:
+            assert got_U.tobytes() == U.tobytes() and got_err.tobytes() == err.tobytes()
 
     def test_one_cell_builds_its_rows_once(self, monkeypatch):
         """Every block of a finite-width kicked cell on 3 threads steps the
@@ -648,12 +735,15 @@ class TestThreads:
         ([(5000, 0), (4500, 6), (4500, 4), (8500, 1)], (4500, 4)),
         ([(5000, 0), (300, 6)], (300, 6)),
         ([(4096, 0), (4095, 5)], (4095, 5)),
+        ([(20, 5), (10, 100)], (10, 100)),
     ])
     def test_non_finite_control_names_the_serial_row_and_mode(self, bad, reported,
                                                              monkeypatch):
         """A sampler that puts NaN at the given (row, mode) entries of a
-        9000-step, 7-mode run: every thread count reports the smallest row,
-        then the smallest global mode index, as the serial run does."""
+        9000-step run of 7 modes, or of 101 when a mode index reaches 100
+        (4 blocks on one thread): every thread count reports the smallest
+        row, then the smallest global mode index, as one block of every
+        mode does."""
         build = freefermion._bloch_components
 
         def poisoned(cfg, ks):
@@ -671,7 +761,8 @@ class TestThreads:
             return sample
 
         monkeypatch.setattr(freefermion, "_bloch_components", poisoned)
-        cfg = ising_cfg(9.0, 1e-3, Strategy.LIN, n_spins=14)
+        n_spins = max(14, 2 * max(mode for _, mode in bad) + 2)
+        cfg = ising_cfg(9.0, 1e-3, Strategy.LIN, n_spins=n_spins)
         for threads in (1, 2, 3):
             with pytest.raises(RuntimeError) as info:
                 run_chain(cfg, track_err=True, threads=threads)
@@ -682,10 +773,11 @@ class TestThreads:
 class TestPeakMemory:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_wide_cell_traces_under_64_mb(self, threads):
-        """The Ising collective geodesic at N = 2000 with track_err: row
-        blocks bound what each thread holds (one 4096-row chunk of 1000
-        modes traced 380 MB).  tracemalloc sees numpy's buffers and, unlike
-        RSS, does not move with the allocator's arenas."""
+        """The Ising collective geodesic at N = 2000 with track_err: mode
+        blocks of 31 or 32 and the ramp's blocks of 131 grid rows bound what
+        each thread holds (one 4096-row chunk of 1000 modes traced 380 MB).
+        tracemalloc sees numpy's buffers and, unlike RSS, does not move with
+        the allocator's arenas."""
         cfg = ising_cfg(5.0, 1e-3, Strategy.GEO, n_spins=2000)
         tracemalloc.start()
         try:

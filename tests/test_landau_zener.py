@@ -8,8 +8,8 @@ import pytest
 from quenchsim.landau_zener import LZConfig, evolve_lz
 from quenchsim.schedules import Strategy, _geodesic_angles, kick_train
 
-from oracles import (Herm2, adiabatic_error, eig2, expm_herm2, fidelity, lz_geodesic_final_state,
-                     lz_hamiltonian)
+from oracles import (HADAMARD, Herm2, adiabatic_error, eig2, exact_linear_U, expm_herm2, fidelity,
+                     lz_geodesic_final_state, lz_hamiltonian)
 
 
 def cfg_for(strategy, T, dt, nkicks=0, width=None, eps=0.1):
@@ -279,5 +279,29 @@ class TestGeodesicExact:
         """Each tenfold cut of dt, 1e-2 -> 1e-3 -> 1e-4, cuts |dpsi| a
         hundredfold: observed order 2.0000."""
         errs = [self.final_state_error(T, dt) for dt in (1e-2, 1e-3, 1e-4)]
+        orders = np.log10(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 2.0) < 0.05), orders
+
+
+class TestLinearExact:
+    """evolve_lz's linear sweep against oracles.exact_linear_U, global phase
+    included: H = (x X + eps Z)/2 is, after a Hadamard basis change,
+    -2 (z Z + x' X) with z = -x/4 and x' = -eps/4."""
+
+    @staticmethod
+    def final_state_error(T, dt):
+        th = math.atan2(-10.0, 0.1)
+        psi0 = np.array([-math.sin(th / 2), math.cos(th / 2)], dtype=complex)
+        exact = HADAMARD @ exact_linear_U(2.5, -2.5, -0.025, T) @ HADAMARD @ psi0
+        return np.linalg.norm(evolve_lz(cfg_for(Strategy.LIN, T, dt)).final_state - exact)
+
+    def test_final_state_matches_the_exact_propagator(self):
+        """eps = 0.1, x -10 -> 10, T = 100, dt = 1e-3: |dpsi| = 4.44e-9."""
+        assert self.final_state_error(100.0, 1e-3) < 6e-9
+
+    def test_midpoint_error_is_second_order(self):
+        """T = 10: each tenfold cut of dt, 1e-2 -> 1e-3 -> 1e-4, cuts |dpsi|
+        a hundredfold."""
+        errs = [self.final_state_error(10.0, dt) for dt in (1e-2, 1e-3, 1e-4)]
         orders = np.log10(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 2.0) < 0.05), orders

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from quenchsim import su2
 from quenchsim.su2 import (
     _CHUNK,
-    _block_rows,
     _err_terms,
     _evolve_rows,
     _NonFiniteControl,
@@ -371,7 +369,7 @@ class TestErrTerms:
     def test_frozen_segments_add_their_widths(self):
         """dphi = 0 everywhere: each term is e^{i phase0} dlam exactly."""
         dlam = np.array([[0.25], [0.5], [0.125]])
-        terms, phi, _ = _err_terms(np.array([0.3]), np.zeros((3, 1)), dlam)
+        terms, phi = _err_terms(np.array([0.3]), np.zeros((3, 1)), dlam)
         assert np.array_equal(terms, np.exp(0.3j) * dlam)
         assert np.array_equal(phi, np.full((4, 1), 0.3))
 
@@ -382,13 +380,13 @@ class TestErrTerms:
         widths = rng.uniform(0.1, 1.0, size=50)
         widths /= widths.sum()
         slope = 2 * np.pi * 3
-        terms, phi, _ = _err_terms(0.0, slope * widths, widths)
+        terms, phi = _err_terms(0.0, slope * widths, widths)
         assert abs(terms.sum()) < 1e-13
         assert phi[-1] == pytest.approx(slope, rel=1e-14)
 
 
 class TestEvolveRows:
-    """su2._evolve_rows on 5000 rows (two chunks of _CHUNK = 4096) of 3 modes."""
+    """su2._evolve_rows, mostly on 5000 rows (two chunks of _CHUNK = 4096) of 3 modes."""
 
     N_ROWS, DLAM = 5000, 1.0 / 5000
 
@@ -441,7 +439,7 @@ class TestEvolveRows:
 
     def test_non_finite_control_is_named_by_row_and_global_mode(self):
         """NaN at (row 4096, column 1) of a block whose first mode is 5, and
-        at row 4096 + 300 of 500 modes, in the chunk's second row block."""
+        inf at row 4096 + 300 of 500 modes, inside the second chunk."""
         a, d, area, _ = self.rows()
         a[_CHUNK, 1] = np.nan
         with pytest.raises(_NonFiniteControl) as info:
@@ -450,7 +448,6 @@ class TestEvolveRows:
         assert str(info.value) == "non-finite control at row 4096, mode index 6"
         assert info.value.at == (4096, 6)
 
-        assert _block_rows(500) == 256
         rng = np.random.RandomState(61)
         a, d = rng.uniform(-2.0, 2.0, size=(2, self.N_ROWS, 500))
         d[_CHUNK + 300, 123] = np.inf
@@ -458,23 +455,6 @@ class TestEvolveRows:
             _evolve_rows(lambda rows: (a[rows], d[rows], 1e-3), self.N_ROWS,
                          _quat_identity(500), self.DLAM, col0=500)
         assert info.value.at == (_CHUNK + 300, 623)
-
-
-class TestRowBlocks:
-    """The tree path of su2._evolve_rows builds each chunk in aligned row
-    blocks, with the bits of one whole chunk at a time."""
-
-    @pytest.mark.parametrize("nmodes,rows", [
-        (1, _CHUNK), (2, _CHUNK), (32, _CHUNK), (33, 2048), (62, 2048), (125, 1024),
-        (500, 256), (1000, 256), (10**6, 256),
-    ])
-    def test_block_rule(self, nmodes, rows):
-        assert _block_rows(nmodes) == rows
-
-    def test_one_mode_is_never_split(self, monkeypatch):
-        monkeypatch.setattr(su2, "_BLOCK_ELEMS", 1)
-        assert _block_rows(1) == _CHUNK
-        assert _block_rows(2) == 256
 
     @staticmethod
     def whole_chunks(sample, n_rows, carry, dlam, frozen):
@@ -490,22 +470,22 @@ class TestRowBlocks:
                 at = np.flatnonzero(frozen[rows])
                 dphi = np.insert(dphi, at, 0.0, axis=0)
                 w = np.insert(np.full(rows.stop - start, dlam), at, frozen[rows][at])[:, None]
-            terms, phi, _ = _err_terms(phase, dphi, w)
+            terms, phi = _err_terms(phase, dphi, w)
             phase = phi[-1]
             integral += terms.sum(axis=0)
         if frozen is not None:
-            terms, _, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
+            terms, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
             integral += terms[0]
         return carry, phase, integral
 
     @pytest.mark.parametrize("gaps", [False, True], ids=["no-gaps", "gaps"])
     @pytest.mark.parametrize("n_rows", [1000, 4095, 4096, 5000])
     @pytest.mark.parametrize("nmodes", [2, 3, 500])
-    def test_bits_of_whole_chunks(self, nmodes, n_rows, gaps, monkeypatch):
-        """Blocks of 256 rows (the rule's constant made small), with frozen
-        gaps before rows 0, 255, 256 (a block edge) and 4097 (past the
-        chunk edge), and after the last row."""
-        monkeypatch.setattr(su2, "_BLOCK_ELEMS", 1)
+    def test_bits_of_whole_chunks(self, nmodes, n_rows, gaps):
+        """The tree path samples whole chunks and keeps the bits of the
+        kernel's pieces composed one whole chunk at a time, with frozen gaps
+        before rows 0, 255, 256 and 4097 (past the chunk edge), and after
+        the last row."""
         rng = np.random.RandomState(nmodes + n_rows)
         a, d = generators(rng, (n_rows, nmodes))
         area = rng.uniform(0.0, 2e-3, size=(n_rows, 1))
@@ -522,7 +502,7 @@ class TestRowBlocks:
 
         carry = random_quats(rng, (1, nmodes))[:, 0]
         got = _evolve_rows(sample, n_rows, carry, 1.0 / n_rows, track_err=True, frozen=frozen)
-        assert max(seen) == 256 and sum(seen) == n_rows
+        assert max(seen) == min(n_rows, _CHUNK) and sum(seen) == n_rows
         ref = self.whole_chunks(sample, n_rows, carry, 1.0 / n_rows, frozen)
         for new, old in zip(got, ref):
             assert new.tobytes() == old.tobytes()
