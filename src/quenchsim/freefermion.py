@@ -317,9 +317,10 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
 
     The rows are every grid step of a continuous drive, or the entries of
     the kick layout (Run.layout), each sampled on the drive's path at
-    its scaled time and acting for its own area.  Between kicked rows the
-    generator vanishes: the phase is frozen there and the error integral
-    grows by e^{i phi} per unit lambda.  The rows are built once per cell.
+    its scaled time and acting for its own area.  On the empty steps around
+    kicked rows the generator vanishes: the phase is frozen there and the
+    error integral grows by e^{i phi} per unit lambda.  The rows are built
+    once per cell.
 
     The modes run in contiguous blocks of at least two modes, at least one
     per thread (threads=None: the process's usable CPUs) and enough that a
@@ -337,12 +338,7 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
     else:
         idx, lam, area = cfg.layout()
         n_rows = len(idx)
-        # frozen stretches: one before each row that does not follow its
-        # predecessor, and one after the last row
-        end_lam = idx * dt / cfg.T + dlam
-        jump = idx != np.append(0, idx[:-1] + 1)
-        gap = idx * dt / cfg.T - np.append(0.0, end_lam[:-1])
-        frozen = np.append(np.where(jump, gap, 0.0), 1.0 - end_lam[-1])
+        frozen = (np.diff(idx, prepend=-1, append=cfg.n_steps) - 1) * dlam
 
     def block(cols: slice):
         """su2._evolve_rows on the modes cols: (quaternions, err or None), or its error."""
@@ -350,8 +346,8 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
             return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
 
         try:
-            Uq, _, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),
-                                           dlam, track_err, frozen, col0=cols.start)
+            Uq, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),
+                                        dlam, track_err, frozen, col0=cols.start)
         except _NonFiniteControl as e:
             return e
         return Uq, (np.abs(integral) if track_err else None)

@@ -156,7 +156,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         ph_im[sl] = np.sin(phi[:, 0])
         err[sl] = np.abs(integral[:, 0])
 
-    carry, _, _ = _evolve_rows(lambda rows: (-dz[rows, None] / 2, -dx[rows, None] / 2, dt), n,
-                               _quat_identity(1), dt / cfg.T, track_err=True, nodes=nodes)
+    carry, _ = _evolve_rows(lambda rows: (-dz[rows, None] / 2, -dx[rows, None] / 2, dt), n,
+                            _quat_identity(1), dt / cfg.T, track_err=True, nodes=nodes)
     psi = _quat_to_unitary(carry[:, 0]) @ psi0
     return Trajectory(times, fid, gap, ph_re, ph_im, err, psi)

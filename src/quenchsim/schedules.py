@@ -120,6 +120,9 @@ class Run:
             raise ValueError(f"need T > 0 and dt > 0, got T={self.T}, dt={self.dt}")
         if not math.isfinite(self.T / self.dt):
             raise ValueError(f"dt={self.dt} is too small: T/dt overflows for T={self.T}")
+        if self.T / self.dt > np.iinfo(np.intp).max:
+            raise ValueError(f"T={self.T} and dt={self.dt} give {self.T / self.dt:.3g} steps, "
+                             "more than an array can index")
         if self.kicks is None:
             if self.strategy is Strategy.GEO_JUMP:
                 raise ValueError("geojump strategy requires kicks >= 1")

@@ -9,12 +9,13 @@ error).  Every operation of the loop acts on each mode separately, so a
 caller bounds its memory by handing it few modes at a time (the chain's
 mode blocks).  Under the loop lies the vectorized kernel: step
 quaternions, their time-ordered products and the adiabaticity-error terms
-e^{i phi} _phase_ramp(dphi) dlambda of the piecewise-linear phase.  The
-propagator exp(-i H dt) of each step is closed form, through cos/sin of
-|H| dt, so no loop touches a generic matrix exponential.  A quaternion
-array has its component axis first, (4, ...): a chunk of steps is
-(4, S, M) and a carried product (4, M), so every ufunc of the kernel runs
-over one contiguous (S, M) slab per component.
+of the piecewise-linear phase: e^{i phi_mid} _phase_ramp(dphi) dlambda per
+row, phi_mid the phase at the row's middle, and e^{i phi} per unit lambda
+of a frozen stretch.  The propagator exp(-i H dt) of each step is closed
+form, through cos/sin of |H| dt, so no loop touches a generic matrix
+exponential.  A quaternion array has its component axis first, (4, ...):
+a chunk of steps is (4, S, M) and a carried product (4, M), so every ufunc
+of the kernel runs over one contiguous (S, M) slab per component.
 
 Besides the kernel only expm_bloch_batch, the complex 2x2 form of the same
 step, lives here, for freefermion._kick_product's rate-free kick reference.
@@ -164,30 +165,32 @@ def _prefix_product(steps: np.ndarray, carry: np.ndarray) -> np.ndarray:
 
 
 def _phase_ramp(dphi: np.ndarray) -> np.ndarray:
-    """(e^{i dphi} - 1)/(i dphi), the exact mean of e^{i phi} over a segment
-    on which phi grows linearly by dphi; series fallback near zero (exactly
-    1 at dphi = 0)."""
-    small = np.abs(dphi) < 1e-8
-    safe = np.where(small, 1.0, dphi)
-    out = (np.exp(1j * safe) - 1.0) / (1j * safe)
-    return np.where(small, 1.0 + 1j * dphi / 2.0, out)
+    """sin(dphi/2)/(dphi/2), exactly 1 at dphi = 0: with e^{i dphi/2} it is
+    (e^{i dphi} - 1)/(i dphi), the exact mean of e^{i phi} over a segment on
+    which phi grows linearly by dphi, without that form's cancellation."""
+    return np.sinc(dphi / (2 * np.pi))
 
 
-def _err_terms(phase0, dphi: np.ndarray, dlam):
+def _err_terms(phase0, dphi: np.ndarray, dlam, after=None):
     """Contributions of consecutive segments to integral of e^{i phi} d lambda.
 
-    Axis 0 of dphi runs over segments: on segment j the phase difference phi
-    grows linearly by dphi[j] across a lambda-width dlam[j] (a scalar, or an
-    array broadcasting against dphi).  A segment with dphi = 0 is a frozen
-    stretch.  Returns (terms, phi): terms[j] = e^{i phi_j} _phase_ramp(dphi[j])
-    dlam[j], and phi, one row longer than dphi, the phase at every segment
-    boundary starting from phase0.
+    Axis 0 of dphi runs over rows: on row j the phase difference phi grows
+    linearly by dphi[j] across a lambda-width dlam (a scalar, or an array
+    that broadcasts to dphi's shape), and after[j], when given, is the
+    width of the frozen stretch that follows row j.  Returns (terms, phi):
+    terms[j] = e^{i (phi_j + dphi[j]/2)} _phase_ramp(dphi[j]) dlam
+    + e^{i phi_{j+1}} after[j], and phi, one row longer than dphi, the phase
+    at every row boundary starting from phase0.
     """
     phi = np.empty((len(dphi) + 1,) + dphi.shape[1:])
     phi[0] = phase0
     np.cumsum(dphi, axis=0, out=phi[1:])
     phi[1:] += phase0
-    return np.exp(1j * phi[:-1]) * _phase_ramp(dphi) * dlam, phi
+    terms = np.exp(1j * (phi[:-1] + 0.5 * dphi))
+    terms *= _phase_ramp(dphi) * dlam
+    if after is not None:
+        terms += np.exp(1j * phi[1:]) * after
+    return terms, phi
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +209,17 @@ class _NonFiniteControl(RuntimeError):
 def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err: bool = False,
                  frozen=None, nodes=None, col0: int = 0):
     """Step rows 0..n_rows-1 onto carry (4, M), _CHUNK rows at a time;
-    returns (carry, phase, integral) at the end, the last two (M,) and zero
-    unless track_err.
+    returns (carry, integral) at the end, the integral (M,) and zero unless
+    track_err.
 
     sample(rows) gives (a, d, h) of the slice rows: (S, M) generators and
     the span h of each step, a scalar or (S, 1) areas.  Over a row E0 - E1
     grows by -4 |(a, d)| h and lambda by dlam.  frozen, n_rows + 1 entries,
-    is the lambda-width of a stretch with no phase growth before each row
-    (0: none) and, last, after the last row.  A non-finite a or d raises
-    _NonFiniteControl before any step of its chunk is built, at its first
-    row, then column (+ col0 for the global mode index).
+    is the lambda-width of a stretch with no phase growth before the first
+    row and then after each row (0: none); each adds e^{i phi} times its
+    width to the integral.  A non-finite a or d raises _NonFiniteControl
+    before any step of its chunk is built, at its first row, then column
+    (+ col0 for the global mode index).
 
     nodes(rows, prefix, phi, integral), when given, gets the product (back
     on |q| = 1), the phase and the integral after every row, all (.., S, M);
@@ -224,6 +228,8 @@ def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err:
     """
     phase = np.zeros(carry.shape[1:])
     integral = np.zeros(carry.shape[1:], dtype=complex)
+    if track_err and frozen is not None:
+        integral += frozen[0]  # phi = 0 before the first row
     for start in range(0, n_rows, _CHUNK):
         rows = slice(start, min(start + _CHUNK, n_rows))
         a, d, h = sample(rows)
@@ -241,12 +247,8 @@ def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err:
             carry = prefix[:, -1]
         if not track_err:
             continue
-        dphi, w = -4.0 * np.hypot(a, d) * h, dlam
-        if frozen is not None:
-            at = np.flatnonzero(frozen[rows])
-            dphi = np.insert(dphi, at, 0.0, axis=0)
-            w = np.insert(np.full(rows.stop - start, dlam), at, frozen[rows][at])[:, None]
-        terms, phi = _err_terms(phase, dphi, w)
+        after = None if frozen is None else frozen[start + 1 : rows.stop + 1, None]
+        terms, phi = _err_terms(phase, -4.0 * np.hypot(a, d) * h, dlam, after)
         phase = phi[-1]
         if nodes is None:
             # numpy sums along rows row by row when M >= 2, but an (S, 1)
@@ -257,7 +259,4 @@ def _evolve_rows(sample, n_rows: int, carry: np.ndarray, dlam: float, track_err:
             cum = integral + np.cumsum(terms, axis=0)
             integral = cum[-1]
             nodes(rows, prefix, phi[1:], cum)
-    if track_err and frozen is not None:
-        terms, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
-        integral += terms[0]
-    return carry, phase, integral
+    return carry, integral

@@ -1,7 +1,8 @@
 """Independent reference implementations for the tests.
 
-Complex 2x2 matrices, closed-form eigenpairs and trapezoid integrals that
-the engines in quenchsim do not run: among them the single-sample kick
+Complex 2x2 matrices, closed-form eigenpairs, trapezoid integrals and a
+40-digit adiabaticity-error sum (step_error_sum) that the engines in
+quenchsim do not run: among them the single-sample kick
 product as a plain matrix product (kick_product), its leading-order closed
 form (kick_pk_leading_order) and the Kibble-Zurek exponent formula
 (kz_exponent); the closed-form final state of the Landau-Zener geodesic
@@ -290,6 +291,30 @@ def adiabatic_error(lam: np.ndarray, e0: np.ndarray, e1: np.ndarray, T: float) -
     seg2 = 0.5 * (f[1:] + f[:-1]) * np.diff(lam)
     integral = np.concatenate([[0.0 + 0.0j], np.cumsum(seg2)])
     return np.abs(integral)
+
+
+def step_error_sum(dphi: np.ndarray, dlam: float) -> np.ndarray:
+    """|integral of e^{i phi} d lambda| after each step of a piecewise-linear
+    phase, summed at 40 digits; shape (S + 1, M), 0 first.
+
+    Step j of dphi (S, M) moves phi linearly from phi_j to phi_j + dphi[j]
+    across the lambda-width dlam and adds e^{i phi_j} (e^{i dphi[j]} - 1) /
+    (i dphi[j]) dlam, or e^{i phi_j} dlam where dphi[j] = 0 (a frozen step).
+    phi_j are the float partial sums of dphi, the phases an engine carries,
+    so this is the exact value of the sum that an engine rounds.
+    """
+    dphi = np.asarray(dphi, dtype=float)
+    phi = np.cumsum(dphi, axis=0)
+    out = np.zeros((len(dphi) + 1, dphi.shape[1]))
+    with mpmath.workdps(40):
+        for m in range(dphi.shape[1]):
+            total, phase = mpmath.mpc(0), mpmath.mpf(0)
+            for j, x in enumerate(map(mpmath.mpf, dphi[:, m])):
+                ramp = mpmath.expm1(1j * x) / (1j * x) if x else 1
+                total += mpmath.expj(phase) * ramp * dlam
+                phase = mpmath.mpf(phi[j, m])
+                out[j + 1, m] = float(abs(total))
+    return out
 
 
 # ---------------------------------------------------------------------------

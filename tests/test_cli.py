@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +228,28 @@ class TestWorkersAndThreads:
                          "--workers", workers, "-o", str(tmp_path / "x.csv")]) == 0
         assert seen == threads
 
+    def test_spawn_and_fork_pools_write_the_same_table(self, tmp_path):
+        """The pool's workers start by spawn on macOS and Windows and by fork
+        on Linux: a 9-row sweep --workers 2, each in a fresh interpreter
+        under one start method, writes byte-identical tables."""
+        main = ("import multiprocessing, sys\n"
+                "from quenchsim.cli import main\n"
+                "multiprocessing.set_start_method(sys.argv[1])\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        tables = {}
+        for method in ("spawn", "fork"):
+            out = tmp_path / f"{method}.csv"
+            subprocess.run([sys.executable, "-c", main, method, "sweep", "--strategy", "geo",
+                            "geojump", "--kicks", "2", "4", "--per-mode-geodesic", "--spins", "16",
+                            "--dt", "1e-3", "--rates", "1", "2", "3", "--workers", "2",
+                            "-o", str(out)], env=env, check=True, capture_output=True)
+            tables[method] = out.read_bytes()
+        assert tables["spawn"].count(b"\n") == 10
+        assert tables["spawn"] == tables["fork"]
+
     @pytest.mark.parametrize("args", [
         ["sweep", "--strategy", "lin", "geo", "geojump", "--kicks", "2",
          "--pulse-width", "0", "2.5e-3", "--per-mode-geodesic", "--spins", "14",
@@ -387,6 +411,9 @@ class TestInputChecks:
         (["chain", "--rates", "abc"], "--rates", "'abc'"),
         (["chain", "--rates", "log", "0.1", "1", "abc"], "--rates", "'abc'"),
         (["chain", "--rates", "1e-310", "--spins", "4"], "--rates", "1e-310"),
+        (["lz", "--T", "1e300"], "T=1e+300", "dt=0.0001"),
+        (["chain", "--rates", "1e-300", "--spins", "4"], "T=9.999999999999999e+299",
+         "dt=0.0001"),
     ])
     def test_non_finite_number_exits_2_before_evolving(self, args, field, value, tmp_path,
                                                         capsys, monkeypatch):

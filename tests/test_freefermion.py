@@ -36,6 +36,7 @@ from oracles import (
     kick_product,
     kmode,
     kmode_hamiltonian,
+    step_error_sum,
 )
 
 
@@ -524,6 +525,28 @@ class TestAdiabaticityError:
         _, err = run_chain(cfg, track_err=True)
         assert np.abs(err - finite_pulse_err_loop(cfg, ks)).max() < 1e-12
 
+    @pytest.mark.parametrize("strategy,nkicks,width", [
+        (Strategy.LIN, 0, None), (Strategy.GEO, 0, None),
+        (Strategy.GEO_JUMP, 7, None), (Strategy.GEO_JUMP, 5, 2.3e-3),
+    ], ids=["lin", "collective-geo", "single-sample-kicks", "finite-width-kicks"])
+    def test_err_within_1e_14_of_the_40_digit_sum(self, strategy, nkicks, width):
+        """err_k against oracles.step_error_sum of the cell's 1001 grid steps
+        (one chunk), each empty step of a kicked cell a frozen step of its
+        own: within 1e-14 absolute."""
+        cfg = ising_cfg(1.0006, 1e-3, strategy, nkicks=nkicks, width=width, n_spins=8,
+                        h_i=1.0, h_f=1.1)
+        sample = freefermion._bloch_components(cfg, momentum_grid(8))
+        dphi = np.zeros((cfg.n_steps, 4))
+        if cfg.kicks is None:
+            rows, area = slice(None), cfg.dt_eff
+            lam = (np.arange(cfg.n_steps) + 0.5) * cfg.dt_eff / cfg.T
+        else:
+            rows, lam, area = cfg.layout()
+            area = area[:, None]
+        dphi[rows] = -4.0 * np.hypot(*sample(lam)) * area
+        _, err = run_chain(cfg, track_err=True)
+        assert np.abs(err - step_error_sum(dphi, cfg.dt_eff / cfg.T)[-1]).max() < 1e-14
+
 
 class TestExactLinearRamp:
     """Per-mode U of a linear ramp against oracles.exact_linear_U, phases
@@ -707,13 +730,17 @@ class TestThreads:
         assert [col0 for col0, _ in seen] == [0] + [c + w for c, w in seen[:-1]]
         assert U.shape == (nmodes, 2, 2)
 
-    def test_bitwise_equal_for_any_block_count(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["lin", "finite-width-kicks"])
+    def test_bitwise_equal_for_any_block_count(self, case, monkeypatch):
         """One cell on one thread through 1, 4 and 62 mode blocks, the budget
-        made large, kept and made 1."""
-        cfg = _thread_case("lin", 250)
+        made large, sized for four blocks of its first chunk and made 1: a
+        continuous drive, and kicked rows with frozen stretches between."""
+        cfg = _thread_case(case, 250)
+        rows = cfg.n_steps if cfg.kicks is None else len(cfg.layout()[0])
+        four = math.ceil(cfg.n_spins // 2 * min(rows, freefermion._CHUNK) / 4)
         calls = _spy_on_evolve_rows(monkeypatch)
         runs = []
-        for budget, nblocks in ((1 << 30, 1), (freefermion._BLOCK_ELEMS, 4), (1, 62)):
+        for budget, nblocks in ((1 << 30, 1), (four, 4), (1, 62)):
             monkeypatch.setattr(freefermion, "_BLOCK_ELEMS", budget)
             calls.clear()
             runs.append(evolve_modes(cfg, track_err=True, threads=1))

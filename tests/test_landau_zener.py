@@ -9,7 +9,7 @@ from quenchsim.landau_zener import LZConfig, evolve_lz
 from quenchsim.schedules import Strategy, _geodesic_angles, kick_train
 
 from oracles import (HADAMARD, Herm2, adiabatic_error, eig2, exact_linear_U, expm_herm2, fidelity,
-                     lz_geodesic_final_state, lz_hamiltonian)
+                     lz_geodesic_final_state, lz_hamiltonian, step_error_sum)
 
 
 def cfg_for(strategy, T, dt, nkicks=0, width=None, eps=0.1):
@@ -220,6 +220,17 @@ class TestAgainstStepLoop:
         assert np.abs(traj.phase_diff_im - ph_im).max() < 1e-12
         assert np.abs(traj.err - err).max() < 1e-12
         assert abs(np.vdot(psi, traj.final_state)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_err_within_1e_14_of_the_40_digit_sum(self):
+        """A linear sweep's err at every node against oracles.step_error_sum
+        of its steps, dphi = (E0 - E1) dt = -hypot(x, eps) dt at each
+        midpoint: within 1e-14 absolute."""
+        cfg = cfg_for(Strategy.LIN, 1.0006, 1e-3)
+        tmid = (np.arange(cfg.n_steps) + 0.5) * cfg.dt_eff
+        x = cfg.x_i + (cfg.x_f - cfg.x_i) * tmid / cfg.T
+        dphi = -np.hypot(x, cfg.eps)[:, None] * cfg.dt_eff
+        ref = step_error_sum(dphi, cfg.dt_eff / cfg.T)[:, 0]
+        assert np.abs(evolve_lz(cfg).err - ref).max() < 1e-14
 
 
 class TestAdiabaticError:

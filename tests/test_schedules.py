@@ -294,9 +294,10 @@ class TestRunBase:
          "last pulse runs past T: t_n + delta_t = 1.1 > T = 1.0"),
         (dict(strategy=_JUMP, kicks=kick_train(200, 0.001), dt=0.01),
          "n_kicks=200 pulses of width delta_t=0.001 put two kicks in one step of dt=0.01"),
+        (dict(dt=1e-300), "T=1.0 and dt=1e-300 give 1e+300 steps, more than an array can index"),
     ], ids=["nan-T", "zero-T", "negative-T", "zero-dt", "negative-dt", "overflowing-step-count",
             "kicks-on-lin", "geojump-without-kicks", "overlapping-pulses", "pulse-past-T",
-            "two-kicks-in-one-step"])
+            "two-kicks-in-one-step", "unindexable-step-count"])
     def test_bad_run_is_rejected_alike(self, config, run, message):
         with pytest.raises(ValueError) as exc:
             config(**_RUN_BASE[config], **{"T": 1.0, "dt": 1e-3, **run})

@@ -1,5 +1,6 @@
 """Tests for the 2x2 Bloch-form kernels (su2.py)."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -366,6 +367,26 @@ class TestErrTerms:
     def test_phase_ramp_is_exactly_one_at_zero(self):
         assert _phase_ramp(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
 
+    def test_one_segment_matches_40_digits(self):
+        """One segment from phase 0, e^{i x/2} _phase_ramp(x), against
+        (e^{ix} - 1)/(ix) at 40 digits for x = 0 and +-10^-12 .. 10^2:
+        within 5e-16 absolute.  The quotient itself, evaluated in floats,
+        cancels digits for small x (5e-9 off near x = 1e-8)."""
+        x = np.logspace(-12, 2, 281)
+        x = np.concatenate([-x, [0.0], x])
+        terms, _ = _err_terms(0.0, x[None, :], 1.0)
+        with mpmath.workdps(40):
+            ref = [complex(mpmath.expm1(1j * mpmath.mpf(v)) / (1j * mpmath.mpf(v))) if v else 1.0
+                   for v in x]
+        assert np.abs(terms[0] - ref).max() < 5e-16
+
+    def test_a_frozen_stretch_adds_its_width_at_the_phase_after_its_row(self):
+        dphi, after = np.array([[0.5], [-1.25]]), np.array([[0.25], [0.0]])
+        with_after, phi = _err_terms(0.3, dphi, 0.1, after)
+        without, same_phi = _err_terms(0.3, dphi, 0.1)
+        assert np.array_equal(phi, same_phi) and with_after[1] == without[1]
+        assert abs(with_after[0] - without[0] - np.exp(1j * phi[1]) * 0.25) < 1e-16
+
     def test_frozen_segments_add_their_widths(self):
         """dphi = 0 everywhere: each term is e^{i phase0} dlam exactly."""
         dlam = np.array([[0.25], [0.5], [0.125]])
@@ -403,30 +424,30 @@ class TestEvolveRows:
         tree product and the summed error."""
         assert self.N_ROWS > _CHUNK
         *_, sample = self.rows()
-        tree, _, summed = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
-                                       track_err=True)
+        tree, summed = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                    track_err=True)
         last = {}
 
         def nodes(rows, prefix, phi, integral):
             assert prefix.shape == (4, rows.stop - rows.start, 3)
             last.update(stop=rows.stop, q=prefix[:, -1], integral=integral[-1])
 
-        scan, _, running = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
-                                        track_err=True, nodes=nodes)
+        scan, running = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                     track_err=True, nodes=nodes)
         assert last["stop"] == self.N_ROWS
         assert np.array_equal(scan, last["q"]) and np.array_equal(running, last["integral"])
         assert np.abs(last["q"] - tree).max() < 1e-13
         assert np.abs(last["integral"] - summed).max() < 1e-13
 
     def test_frozen_stretches_match_a_per_segment_loop(self):
-        """Frozen widths before rows 0, 100 and 4096 (the chunk edge) and
-        after the last row, against the error integral summed one segment
-        at a time."""
+        """Frozen widths before row 0, after rows 99 and 4095 (the chunk
+        edge) and after the last row, against the error integral summed one
+        segment at a time, each stretch before the row that follows it."""
         a, d, area, sample = self.rows(59)
         frozen = np.zeros(self.N_ROWS + 1)
         frozen[[0, 100, _CHUNK, self.N_ROWS]] = [0.3, 0.05, 0.02, 0.1]
-        _, phase, integral = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
-                                          track_err=True, frozen=frozen)
+        _, integral = _evolve_rows(sample, self.N_ROWS, _quat_identity(3), self.DLAM,
+                                   track_err=True, frozen=frozen)
         ref_phase, ref = np.zeros(3), np.zeros(3, dtype=complex)
         for j in range(self.N_ROWS):
             ref += np.exp(1j * ref_phase) * frozen[j]
@@ -434,7 +455,6 @@ class TestEvolveRows:
             ref += np.exp(1j * ref_phase) * (np.exp(1j * dphi) - 1) / (1j * dphi) * self.DLAM
             ref_phase += dphi
         ref += np.exp(1j * ref_phase) * frozen[-1]
-        assert np.abs(phase - ref_phase).max() < 1e-12
         assert np.abs(integral - ref).max() < 1e-12
 
     def test_non_finite_control_is_named_by_row_and_global_mode(self):
@@ -458,25 +478,21 @@ class TestEvolveRows:
 
     @staticmethod
     def whole_chunks(sample, n_rows, carry, dlam, frozen):
-        """The loop one whole chunk at a time, from the kernel's pieces."""
+        """The loop one whole chunk at a time, from the kernel's pieces:
+        frozen[0] at phase 0, then frozen[j + 1] after row j."""
         phase = np.zeros(carry.shape[1:])
         integral = np.zeros(carry.shape[1:], dtype=complex)
+        if frozen is not None:
+            integral += frozen[0]
         for start in range(0, n_rows, _CHUNK):
             rows = slice(start, min(start + _CHUNK, n_rows))
             a, d, h = sample(rows)
             carry = _quat_mul(_ordered_product(_quat_steps(a, d, h)), carry)
-            dphi, w = -4.0 * np.hypot(a, d) * h, dlam
-            if frozen is not None:
-                at = np.flatnonzero(frozen[rows])
-                dphi = np.insert(dphi, at, 0.0, axis=0)
-                w = np.insert(np.full(rows.stop - start, dlam), at, frozen[rows][at])[:, None]
-            terms, phi = _err_terms(phase, dphi, w)
+            after = None if frozen is None else frozen[start + 1 : rows.stop + 1, None]
+            terms, phi = _err_terms(phase, -4.0 * np.hypot(a, d) * h, dlam, after)
             phase = phi[-1]
             integral += terms.sum(axis=0)
-        if frozen is not None:
-            terms, _ = _err_terms(phase, np.zeros((1,) + phase.shape), frozen[-1])
-            integral += terms[0]
-        return carry, phase, integral
+        return carry, integral
 
     @pytest.mark.parametrize("gaps", [False, True], ids=["no-gaps", "gaps"])
     @pytest.mark.parametrize("n_rows", [1000, 4095, 4096, 5000])
@@ -484,8 +500,8 @@ class TestEvolveRows:
     def test_bits_of_whole_chunks(self, nmodes, n_rows, gaps):
         """The tree path samples whole chunks and keeps the bits of the
         kernel's pieces composed one whole chunk at a time, with frozen gaps
-        before rows 0, 255, 256 and 4097 (past the chunk edge), and after
-        the last row."""
+        before row 0 and after rows 254, 255 and 4096 (past the chunk edge)
+        and the last row."""
         rng = np.random.RandomState(nmodes + n_rows)
         a, d = generators(rng, (n_rows, nmodes))
         area = rng.uniform(0.0, 2e-3, size=(n_rows, 1))
