@@ -22,10 +22,10 @@ contains no time variable, so excitation probabilities are then strictly
 independent of the quench rate.
 
 Every driving is a path sampler (a, d)(lambda) over the scaled time
-lambda = t/T, plus, for kicked runs, the steps that Run.layout puts the
-pulses in; the run is the only holder of T.  evolve_modes runs them all
-through su2._evolve_rows, the stepping loop the Landau-Zener engine shares,
-and reads only the end of each mode's product.
+lambda = t/T, read at the rows Run.layout gives both engines (every step's
+midpoint, or the steps the pulses act in); the run is the only holder of T.
+evolve_modes runs them through su2._evolve_rows, the stepping loop the
+Landau-Zener engine shares, and reads only the end of each mode's product.
 Modes never mix, so evolve_modes builds the cell's sampler and rows once
 and runs the loop on contiguous blocks of at least two modes, few enough
 that a chunk of one block stays small, spread over threads (numpy releases
@@ -315,8 +315,8 @@ def _kick_product(a: np.ndarray, d: np.ndarray) -> np.ndarray:
 def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | None = None):
     """Evolve every momentum mode; returns (U of shape (M, 2, 2), err or None).
 
-    The rows are every grid step of a continuous drive, or the entries of
-    the kick layout (Run.layout), each sampled on the drive's path at
+    The rows are those of Run.layout, every grid step of a continuous
+    drive or the steps a kick acts in, each sampled on the drive's path at
     its scaled time and acting for its own area.  On the empty steps around
     kicked rows the generator vanishes: the phase is frozen there and the
     error integral grows by e^{i phi} per unit lambda.  The rows are built
@@ -328,22 +328,16 @@ def evolve_modes(cfg: ChainConfig, *, track_err: bool = False, threads: int | No
     blocks) threads; U and err are bitwise the same for every count.  A
     non-finite control is reported at its smallest row, then smallest mode.
     """
-    nmodes = cfg.n_spins // 2
+    idx, lam, area = cfg.layout()
+    nmodes, n_rows = cfg.n_spins // 2, len(lam)
     fn = _bloch_components(cfg, momentum_grid(cfg.n_spins))
-    dt = cfg.dt_eff
-    dlam = dt / cfg.T
-    if cfg.kicks is None:
-        n_rows, frozen, area = cfg.n_steps, None, None
-        lam = (np.arange(n_rows) + 0.5) * dt / cfg.T
-    else:
-        idx, lam, area = cfg.layout()
-        n_rows = len(idx)
-        frozen = (np.diff(idx, prepend=-1, append=cfg.n_steps) - 1) * dlam
+    dlam = cfg.dt_eff / cfg.T
+    frozen = None if idx is None else (np.diff(idx, prepend=-1, append=cfg.n_steps) - 1) * dlam
 
     def block(cols: slice):
         """su2._evolve_rows on the modes cols: (quaternions, err or None), or its error."""
         def sample(rows):
-            return (*fn(lam[rows], cols), dt if area is None else area[rows, None])
+            return (*fn(lam[rows], cols), area if idx is None else area[rows, None])
 
         try:
             Uq, integral = _evolve_rows(sample, n_rows, _quat_identity(cols.stop - cols.start),

@@ -3,27 +3,27 @@
 The bare Hamiltonian is H(x) = (x X + eps Z)/2, with ground state
 (-sin(theta/2), cos(theta/2)) at theta = atan2(x, eps); every strategy
 starts in the ground state at x_i and is scored against the ground state at
-x_f.  The continuous geodesic
-strategy drives the unit Bloch direction (sin theta, 0, cos theta)/2 with
-theta affine in time; the kicked-geodesic strategy multiplies the *unit*
-direction n(theta).sigma by the square-pulse envelope of a KickTrain, so each
-area-pi/2 pulse is a pi rotation about the instantaneous axis and shifts the
-dynamical phase difference between the two levels by exactly pi.  The run
-holds T; the kicked steps, their angles and their areas come from Run.layout,
-the rule the chain uses too; between pulses the generator vanishes and the
-state is frozen.
+x_f.  The continuous geodesic strategy drives the unit Bloch direction
+(sin theta, 0, cos theta)/2 with theta affine in time; the kicked-geodesic
+strategy multiplies the *unit* direction n(theta).sigma by the square-pulse
+envelope of a KickTrain, so each area-pi/2 pulse is a pi rotation about the
+instantaneous axis and shifts the dynamical phase difference between the
+two levels by exactly pi.  The run holds T; the rows of every strategy,
+each step's midpoint or the kicked steps with their angles and areas, come
+from Run.layout, the rule the chain uses too; between pulses the generator
+vanishes and the state is frozen.
 
-Time stepping is piecewise-constant with midpoint-sampled parameters and the
-closed-form step propagator, through su2._evolve_rows, the stepping loop the
-chain shares, as one mode column that reads every node: H = dx X + dz Z is
-the chain's -2 (a Z + d X) with a = -dz/2 and d = -dx/2 (exact power-of-two
-scaling), and each node's propagator is put back on |q| = 1, so the state
-norm is preserved to rounding.  A run records four diagnostics along the
-way: fidelity against the final ground state, the instantaneous gap of the
-full (envelope-included) generator, the accumulated
-dynamical-phase-difference factor e^{i phi}, and the adiabaticity error
-|integral of e^{i phi} d lambda|.  For a kicked run the gap at node i is
-2 * amplitude of step i: nonzero exactly at the steps the layout fills.
+Time stepping is piecewise-constant with the closed-form step propagator,
+through su2._evolve_rows, the stepping loop the chain shares, as one mode
+column that reads every node: H = dx X + dz Z is the chain's -2 (a Z + d X)
+with a = -dz/2 and d = -dx/2 (exact power-of-two scaling), and each node's
+propagator is put back on |q| = 1, so the state norm is preserved to
+rounding.  A run records four diagnostics along the way: fidelity against
+the final ground state, the instantaneous gap of the full
+(envelope-included) generator, the accumulated dynamical-phase-difference
+factor e^{i phi}, and the adiabaticity error |integral of e^{i phi} d lambda|.
+For a kicked run the gap at node i is 2 * amplitude of step i: nonzero
+exactly at the steps the layout fills.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class LZConfig(Run):
                     not math.isfinite(math.hypot(x, self.eps) * self.T):
                 raise ValueError(f"{name}={x} with eps={self.eps} is too large for "
                                  f"T={self.T}: the phase hypot(x, eps) T overflows")
-        # the linear sweep samples x_i + (x_f - x_i) t / T
+        # the gap of a linear sweep takes x_i + (x_f - x_i) t / T at the nodes
         if self.strategy is Strategy.LIN and not math.isfinite((self.x_f - self.x_i) * self.T):
             raise ValueError(f"x_f - x_i = {self.x_f - self.x_i} is too large for T={self.T}: "
                              "(x_f - x_i) T overflows")
@@ -106,37 +106,35 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     measured against the ground state of H(x_f); both come from the closed
     form of the module docstring.
 
-    Kicked steps come from Run.layout: step idx carries amplitude
-    area/dt_eff at the angle of its scaled time lam, and every other step
-    is a zero row.
+    The rows come from Run.layout, as the chain's do: a continuous drive is
+    sampled at every step's scaled time lam, and a kicked step idx carries
+    amplitude area/dt_eff at the angle of its lam, every other a zero row.
     """
-    n = cfg.n_steps
-    dt = cfg.dt_eff
+    idx, lam, area = cfg.layout()
+    n, dt = cfg.n_steps, cfg.dt_eff
     psi0, target = (
         np.array([-math.sin(th / 2), math.cos(th / 2)], dtype=complex)
         for th in (math.atan2(cfg.x_i, cfg.eps), math.atan2(cfg.x_f, cfg.eps))
     )
 
-    # midpoint-sampled generator dx X + dz Z of every step, and the gap of
-    # the full (envelope-included) generator at the nodes
+    # generator dx X + dz Z of every step, sampled at the rows' lam, and the
+    # gap of the full (envelope-included) generator at the nodes
     times = np.arange(n + 1) * dt
-    tmid = (np.arange(n) + 0.5) * dt
     if cfg.strategy is not Strategy.LIN:
         # both geodesics follow x = eps tan(theta), theta affine in t/T;
         # LZConfig has rejected eps = 0
         th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
+        th = th_i + (th_f - th_i) * lam
     if cfg.strategy is Strategy.LIN:
-        dx = (cfg.x_i + (cfg.x_f - cfg.x_i) * tmid / cfg.T) / 2
+        dx = (cfg.x_i + (cfg.x_f - cfg.x_i) * lam) / 2
         dz = np.full(n, cfg.eps / 2)
         x = cfg.x_i + (cfg.x_f - cfg.x_i) * times / cfg.T
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        th = th_i + (th_f - th_i) * (tmid / cfg.T)
         dx, dz = np.sin(th) / 2, np.cos(th) / 2
         gap = np.ones(n + 1)
     else:
-        idx, lam, area = cfg.layout()
-        amp, th = area / dt, th_i + (th_f - th_i) * lam
+        amp = area / dt
         dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
         dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp
 

@@ -15,8 +15,8 @@ axis.
 
 Run is the field-less base of both engines' configs and the only holder of
 the total time T: their step grid, the checks on T, dt, strategy and kicks
-that every run shares, and Run.layout, the one rule that places the pulses
-on the step grid; both engines take their kicked steps from it.
+that every run shares, and Run.layout, the one rule that places the rows,
+continuous or kicked, on the step grid; both engines take their rows from it.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ class KickTrain:
 
 
 class Run:
-    """Field-less base of ChainConfig and LZConfig: the step grid, the
-    placement of the pulses on it, and the checks every run shares.  A
+    """Field-less base of ChainConfig and LZConfig: the step grid, the rows
+    both engines step (Run.layout), and the checks every run shares.  A
     subclass holds the fields T, dt, strategy and kicks and calls
     super().__post_init__() before its own checks."""
 
@@ -162,19 +162,26 @@ class Run:
         """
         return self.kicks.delta_t <= max(self.dt, self.dt_eff) * (1 + 1e-9)
 
-    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where the pulses act on the n_steps equal steps of dt_eff.
+    def layout(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | float]:
+        """The rows of the run on the n_steps equal steps of dt_eff.
 
-        Returns (idx, lam, area) with one entry per step a pulse acts in, in
-        time order: the step index, the scaled time at which the drive is
-        sampled, and the pulse area deposited in that step.  Single-sample
-        kicks (see single_sample) give the step holding each kick time,
-        sampled at lambda_j = (2j-1)/(2n), which is built from the kick count
-        and so carries no trace of T, with area pi/2.  Wider pulses give the
-        steps whose midpoints lie in [t_j, t_j + delta_t), sampled at those
+        Returns (idx, lam, area), one entry per row in time order: the step
+        index, the scaled time at which the drive is sampled, and the span
+        of the row.  A continuous drive samples every step at its midpoint:
+        idx is None and area is dt_eff.  Single-sample kicks (see
+        single_sample) give the step holding each kick time, sampled at
+        lambda_j = (2j-1)/(2n), which is built from the kick count and so
+        carries no trace of T, with area pi/2.  Wider pulses give the steps
+        whose midpoints lie in [t_j, t_j + delta_t), sampled at those
         midpoints, each with area amplitude * dt_eff.  Two kicks in one step
-        raise ValueError.
+        raise ValueError; too many steps to allocate raise MemoryError.
         """
+        if self.kicks is None:
+            try:
+                return None, (np.arange(self.n_steps) + 0.5) * self.dt_eff / self.T, self.dt_eff
+            except MemoryError as e:
+                raise MemoryError(f"T={self.T} and dt={self.dt} give {self.n_steps} steps: "
+                                  f"{e}") from e
         kicks, n_steps, dt_eff, times = self.kicks, self.n_steps, self.dt_eff, self.kick_times
         if self.single_sample:
             # kick times within 1e-9 steps of a grid node are snapped up to it

@@ -497,6 +497,19 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err == "error: dt=1e-320 is too small: T/dt overflows for T=1.0\n"
 
+    @pytest.mark.parametrize("args", [
+        ["chain", "--rates", "1e-12", "--spins", "4"],
+        ["chain", "--strategy", "geo", "--rates", "1e-12", "--spins", "4"],
+        ["lz", "--T", "1e5", "--dt", "1e-12"],
+    ], ids=["chain-lin", "chain-geo", "lz"])
+    def test_unallocatable_rows_exit_2_naming_the_run(self, args, tmp_path, capsys):
+        """10^16 and 10^17 steps: numpy refuses their rows at once, as more
+        than any address space holds, and the message names T and dt."""
+        assert cli.main(args + ["-o", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: T=") and " dt=" in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("args,message", [
         (["chain", "--h", "1e200", "0", "--rates", "0.1", "--spins", "10", "--dt", "1e-2"],
          "h_i=1e+200 is too large: the generator a^2 + d^2 overflows"),

@@ -257,6 +257,19 @@ class TestLayout:
         assert np.array_equal(lam, mids[idx] / T)
         assert np.all(area == cfg.kicks.amplitude * dt_eff)
 
+    @pytest.mark.parametrize("T", [1.0, 1.0006])
+    @pytest.mark.parametrize("config", [ChainConfig, LZConfig], ids=lambda c: c.__name__)
+    def test_continuous_drive_samples_every_step_at_its_midpoint(self, config, T):
+        """One row per step, at its midpoint, for the span dt_eff: at T/dt =
+        1000 and at 1000.6, which rounds up."""
+        dt = 1e-3
+        n_steps = round(T / dt)
+        dt_eff = T / n_steps
+        idx, lam, area = config(**_RUN_BASE[config], T=T, dt=dt).layout()
+        assert idx is None
+        assert area == dt_eff
+        assert lam.tobytes() == ((np.arange(n_steps) + 0.5) * dt_eff / T).tobytes()
+
     def test_two_kicks_in_one_step_are_rejected(self):
         """200 kicks over T = 1 are 5e-3 apart: two fall in each 1e-2 step."""
         kt = kick_train(200, 0.001)
