@@ -15,13 +15,13 @@ vanishes and the state is frozen.
 
 Time stepping is piecewise-constant with the closed-form step propagator,
 through su2._evolve_rows, the stepping loop the chain shares, as one mode
-column that reads every node: H = dx X + dz Z is the chain's -2 (a Z + d X)
-with a = -dz/2 and d = -dx/2 (exact power-of-two scaling), and each node's
-propagator is put back on |q| = 1, so the state norm is preserved to
-rounding.  A run records four diagnostics along the way: fidelity against
-the final ground state, the instantaneous gap of the full
-(envelope-included) generator, the accumulated dynamical-phase-difference
-factor e^{i phi}, and the adiabaticity error |integral of e^{i phi} d lambda|.
+column that reads every node: H(x) is the kernel's -2 (a Z + d X) with
+a = -eps/4 and d = -x/4, and each node's propagator is put back on
+|q| = 1, so the state norm is preserved to rounding.  A run records four
+diagnostics along the way: fidelity against the final ground state, the
+instantaneous gap of the full (envelope-included) generator, the
+accumulated dynamical-phase-difference factor e^{i phi}, and the
+adiabaticity error |integral of e^{i phi} d lambda|.
 For a kicked run the gap at node i is 2 * amplitude of step i: nonzero
 exactly at the steps the layout fills.
 """
@@ -42,10 +42,10 @@ from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer
 class LZConfig(Run):
     """One two-level sweep: field from x_i to x_f over total time T.  The
     step grid and the checks on T, dt and kicks come from schedules.Run.
-    Rejected before evolving: a field whose bare Hamiltonian overflows
-    (x^2 + eps^2 at either end, and so on the path between them); a linear
-    sweep whose phase hypot(x, eps) T or whose (x_f - x_i) T overflows; and
-    kicks whose amplitude squared overflows."""
+    Rejected before evolving, as LZ forms them: a linear sweep whose
+    x^2 + eps^2 (at either end, and so on the path between them) or phase
+    hypot(x, eps) T overflows, and kicks whose amplitude squared overflows.
+    The geodesics read the field only through atan2(x, eps)."""
 
     eps: float
     x_i: float
@@ -63,21 +63,16 @@ class LZConfig(Run):
             )
         if self.strategy is not Strategy.LIN and self.eps == 0:
             raise ValueError("geodesic strategies require eps != 0")
-        for name in ("x_i", "x_f"):
+        for name in ("x_i", "x_f") if self.strategy is Strategy.LIN else ():
             x = getattr(self, name)
             if not math.isfinite(x * x + self.eps * self.eps):
                 raise ValueError(f"{name}={x} with eps={self.eps} is too large: the "
                                  "generator x^2 + eps^2 overflows")
-            # the steps of a linear sweep accumulate the phase hypot(x, eps) T
-            # at most, twice the sum of their angles
-            if self.strategy is Strategy.LIN and \
-                    not math.isfinite(math.hypot(x, self.eps) * self.T):
+            # the steps accumulate the phase hypot(x, eps) T at most, twice
+            # the sum of their angles
+            if not math.isfinite(math.hypot(x, self.eps) * self.T):
                 raise ValueError(f"{name}={x} with eps={self.eps} is too large for "
                                  f"T={self.T}: the phase hypot(x, eps) T overflows")
-        # the gap of a linear sweep takes x_i + (x_f - x_i) t / T at the nodes
-        if self.strategy is Strategy.LIN and not math.isfinite((self.x_f - self.x_i) * self.T):
-            raise ValueError(f"x_f - x_i = {self.x_f - self.x_i} is too large for T={self.T}: "
-                             "(x_f - x_i) T overflows")
         if self.kicks is not None:
             # the kernel squares the kicked generator's amplitude area/dt_eff
             amp = float(self.layout()[2][0]) / self.dt_eff
@@ -109,6 +104,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     The rows come from Run.layout, as the chain's do: a continuous drive is
     sampled at every step's scaled time lam, and a kicked step idx carries
     amplitude area/dt_eff at the angle of its lam, every other a zero row.
+    The linear sweep's gap takes the rows' rule at the nodes' lam = t/T.
     """
     idx, lam, area = cfg.layout()
     n, dt = cfg.n_steps, cfg.dt_eff
@@ -117,7 +113,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         for th in (math.atan2(cfg.x_i, cfg.eps), math.atan2(cfg.x_f, cfg.eps))
     )
 
-    # generator dx X + dz Z of every step, sampled at the rows' lam, and the
+    # the kernel's (a, d) of every step, sampled at the rows' lam, and the
     # gap of the full (envelope-included) generator at the nodes
     times = np.arange(n + 1) * dt
     if cfg.strategy is not Strategy.LIN:
@@ -126,17 +122,17 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
         th = th_i + (th_f - th_i) * lam
     if cfg.strategy is Strategy.LIN:
-        dx = (cfg.x_i + (cfg.x_f - cfg.x_i) * lam) / 2
-        dz = np.full(n, cfg.eps / 2)
-        x = cfg.x_i + (cfg.x_f - cfg.x_i) * times / cfg.T
+        a = np.full(n, -cfg.eps / 4)
+        d = -(cfg.x_i + (cfg.x_f - cfg.x_i) * lam) / 4
+        x = cfg.x_i + (cfg.x_f - cfg.x_i) * (times / cfg.T)
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        dx, dz = np.sin(th) / 2, np.cos(th) / 2
+        a, d = -np.cos(th) / 4, -np.sin(th) / 4
         gap = np.ones(n + 1)
     else:
         amp = area / dt
-        dx, dz, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
-        dx[idx], dz[idx], gap[idx] = amp * np.sin(th), amp * np.cos(th), 2.0 * amp
+        a, d, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
+        a[idx], d[idx], gap[idx] = -amp * np.cos(th) / 2, -amp * np.sin(th) / 2, 2.0 * amp
 
     fid = np.empty(n + 1)
     ph_re = np.empty(n + 1)
@@ -154,7 +150,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         ph_im[sl] = np.sin(phi[:, 0])
         err[sl] = np.abs(integral[:, 0])
 
-    carry, _ = _evolve_rows(lambda rows: (-dz[rows, None] / 2, -dx[rows, None] / 2, dt), n,
+    carry, _ = _evolve_rows(lambda rows: (a[rows, None], d[rows, None], dt), n,
                             _quat_identity(1), dt / cfg.T, track_err=True, nodes=nodes)
     psi = _quat_to_unitary(carry[:, 0]) @ psi0
     return Trajectory(times, fid, gap, ph_re, ph_im, err, psi)

@@ -109,6 +109,17 @@ class TestEvolve:
         assert np.flatnonzero(traj.gap).tolist() == idx.tolist()
         assert np.allclose(traj.gap[idx], 2 * cfg.kicks.amplitude, rtol=1e-14, atol=0)
 
+    def test_linear_gap_takes_the_rows_rule_at_t_over_T(self):
+        """The linear sweep's gap at node i is sqrt(x^2 + eps^2) with
+        x = x_i + (x_f - x_i) (t_i/T), the rows' rule at lam = t_i/T, bit
+        for bit (T/dt is not an integer here)."""
+        cfg = cfg_for(Strategy.LIN, 1.0006, 1e-4)
+        traj = evolve_lz(cfg)
+        xs = (cfg.x_i + (cfg.x_f - cfg.x_i) * (i * cfg.dt_eff / cfg.T)
+              for i in range(cfg.n_steps + 1))
+        expected = [math.sqrt(x * x + cfg.eps * cfg.eps) for x in xs]
+        assert traj.gap.tolist() == expected
+
     def test_adiabatic_limit_lin_geo_agree(self):
         """Both continuous strategies exceed 0.999 fidelity at T = 1e4."""
         for strategy in (Strategy.LIN, Strategy.GEO):
