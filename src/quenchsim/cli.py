@@ -19,12 +19,14 @@ settings (and the manifest's keys) are every destination of that parser.
 A cell run in process threads its modes over every usable CPU; a pool of
 --workers processes gives each cell max(1, CPUs // pool size) threads.
 Runs are fully deterministic: no randomness anywhere, tasks are pure, results
-are reduced in submission order, and floats are handed to csv as Python
-floats, which it writes with their shortest round-trip repr, so identical
-configs produce byte-identical files for any worker or thread count.  Every
-output path is checked before any work starts: it must name a file in an
-existing directory, no two files of a run (tables and manifests) may be
-the same, and none may be the run's --input or --config file.
+are reduced in submission order, and every float is written as its shortest
+round-trip repr, the bytes csv.writer writes for a Python float.  The float
+tables (lz, --modes-out) are formatted in blocks of rows, on a pool of up to
+every usable CPU once they span two blocks, and written in order.  So
+identical configs produce byte-identical files for any worker, thread or CPU
+count.  Every output path is checked before any work starts: it must name a
+file in an existing directory, no two files of a run (tables and manifests)
+may be the same, and none may be the run's --input or --config file.
 Output files are written to a temporary file in the target directory and
 renamed into place, so an interrupted run leaves no partial file at the
 destination; a manifest listing the fully resolved configuration is written
@@ -41,6 +43,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
+from contextlib import contextmanager
 from functools import partial
 from multiprocessing import Pool
 
@@ -49,6 +52,7 @@ from .analysis import fit_power_law
 from .freefermion import ChainConfig, Regime, _usable_cpus, run_chain
 from .landau_zener import LZConfig, evolve_lz
 from .schedules import Strategy, kick_train
+from .su2 import _CHUNK
 
 
 def _write_atomically(path: str, write) -> None:
@@ -68,13 +72,39 @@ def _write_atomically(path: str, write) -> None:
         raise
 
 
-def _atomic_write(path: str, header: list[str], rows: Iterable[tuple]) -> None:
-    def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+@contextmanager
+def _ordered_map(fn, items: list, size: int):
+    """An iterator of fn(item) over items, in order: in process for size 1,
+    else from a pool of size processes that take one item per task.  The
+    pool is joined on exit."""
+    if size <= 1:
+        yield map(fn, items)
+        return
+    with Pool(size) as pool:
+        yield pool.imap(fn, items)
 
-    _write_atomically(path, write)
+
+def _format_rows(columns: tuple) -> str:
+    """The CSV lines of float columns' rows: each float's shortest
+    round-trip repr, the bytes csv.writer writes for a Python float."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+def _atomic_write(path: str, header: list[str], rows: Iterable[tuple] = (),
+                  columns: tuple = ()) -> None:
+    """The table: its header, then rows through csv.writer or the rows of
+    float columns (one length), formatted in blocks of _CHUNK rows on up to
+    every usable CPU and written in order."""
+    n = len(columns[0]) if columns else 0
+    blocks = [tuple(c[i:i + _CHUNK] for c in columns) for i in range(0, n, _CHUNK)]
+    with _ordered_map(_format_rows, blocks, min(_usable_cpus(), len(blocks))) as text:
+        def write(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            fh.writelines(text)
+
+        _write_atomically(path, write)
 
 
 def _write_manifest(out_path: str, resolved: dict) -> str:
@@ -192,9 +222,9 @@ def _run_lz(ns: argparse.Namespace) -> int:
         strategy=Strategy(cfg["strategy"]),
         kicks=kick_train(cfg["kicks"], cfg["pulse_width"] or cfg["dt"]) if cfg["kicks"] else None,
     ))
-    rows = zip(*(map(float, c) for c in (traj.times, traj.fidelity, traj.gap,
-                                          traj.phase_diff_re, traj.phase_diff_im, traj.err)))
-    _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"], rows)
+    _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"],
+                  columns=(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
+                           traj.phase_diff_im, traj.err))
     _write_manifest(cfg["out"], cfg)
     print(f"wrote {cfg['out']} ({len(traj.times)} rows, "
           f"final fidelity {float(traj.fidelity[-1])!r})")
@@ -249,15 +279,16 @@ _SWEEP_HEADER = ["rate", "strategy", "regime", "kicks", "pulse_width", "n_defect
 
 
 def _run_cells(cells: list[tuple], workers: int, track_err: bool = False) -> list[tuple]:
-    """Run the cells in order, in process on every usable CPU, or in a pool
-    whose workers share the CPUs out as threads (at least one each); returns
-    each cell's (defect row, DefectResult, per-mode error or None)."""
-    if workers == 1 or len(cells) == 1:
-        return [_defect_task(c, track_err) for c in cells]
+    """Run the cells in order, in process on every usable CPU, or on a pool
+    of min(workers, cells) processes that take one cell per task, so no
+    worker idles while another holds a queue of cells, and share the CPUs
+    out as threads (at least one each); returns each cell's (defect row,
+    DefectResult, per-mode error or None)."""
     size = min(workers, len(cells))
-    with Pool(size) as pool:
-        return pool.map(partial(_defect_task, track_err=track_err,
-                                threads=max(1, _usable_cpus() // size)), cells)
+    threads = None if size == 1 else max(1, _usable_cpus() // size)
+    with _ordered_map(partial(_defect_task, track_err=track_err, threads=threads),
+                      cells, size) as results:
+        return list(results)
 
 
 def _run_table(ns: argparse.Namespace) -> int:
@@ -290,8 +321,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     written = [cfg["out"]]
     if modes_out:
         _, result, err = results[0]
-        _atomic_write(modes_out, ["k", "p_k", "err_k"],
-                      zip(*(map(float, c) for c in (result.ks, result.pk, err))))
+        _atomic_write(modes_out, ["k", "p_k", "err_k"], columns=(result.ks, result.pk, err))
         _write_manifest(modes_out, resolved)
         written.append(modes_out)
     print(f"wrote {', '.join(written)} ({len(results)} rows)")

@@ -104,6 +104,9 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     The rows come from Run.layout, as the chain's do: a continuous drive is
     sampled at every step's scaled time lam, and a kicked step idx carries
     amplitude area/dt_eff at the angle of its lam, every other a zero row.
+    A continuous drive's (a, d) are sampled per chunk, from that chunk's
+    lam, as the stepping loop asks for them, so the run holds no per-step
+    table but lam; a kicked run builds the (a, d) of every step once.
     The linear sweep's gap takes the rows' rule at the nodes' lam = t/T.
     """
     idx, lam, area = cfg.layout()
@@ -113,26 +116,32 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         for th in (math.atan2(cfg.x_i, cfg.eps), math.atan2(cfg.x_f, cfg.eps))
     )
 
-    # the kernel's (a, d) of every step, sampled at the rows' lam, and the
-    # gap of the full (envelope-included) generator at the nodes
+    # the kernel's (a, d) of the rows at their lam, each chunk's built as the
+    # kernel asks for it (kicked steps: a table of every step), and the gap
+    # of the full (envelope-included) generator at the nodes
     times = np.arange(n + 1) * dt
     if cfg.strategy is not Strategy.LIN:
         # both geodesics follow x = eps tan(theta), theta affine in t/T;
         # LZConfig has rejected eps = 0
         th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
-        th = th_i + (th_f - th_i) * lam
     if cfg.strategy is Strategy.LIN:
-        a = np.full(n, -cfg.eps / 4)
-        d = -(cfg.x_i + (cfg.x_f - cfg.x_i) * lam) / 4
+        def sample(rows):
+            d = -(cfg.x_i + (cfg.x_f - cfg.x_i) * lam[rows, None]) / 4
+            return np.full_like(d, -cfg.eps / 4), d, dt
         x = cfg.x_i + (cfg.x_f - cfg.x_i) * (times / cfg.T)
         gap = np.sqrt(x * x + cfg.eps * cfg.eps)
     elif cfg.strategy is Strategy.GEO:
-        a, d = -np.cos(th) / 4, -np.sin(th) / 4
+        def sample(rows):
+            th = th_i + (th_f - th_i) * lam[rows, None]
+            return -np.cos(th) / 4, -np.sin(th) / 4, dt
         gap = np.ones(n + 1)
     else:
-        amp = area / dt
+        th, amp = th_i + (th_f - th_i) * lam, area / dt
         a, d, gap = np.zeros(n), np.zeros(n), np.zeros(n + 1)
         a[idx], d[idx], gap[idx] = -amp * np.cos(th) / 2, -amp * np.sin(th) / 2, 2.0 * amp
+
+        def sample(rows):
+            return a[rows, None], d[rows, None], dt
 
     fid = np.empty(n + 1)
     ph_re = np.empty(n + 1)
@@ -150,7 +159,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
         ph_im[sl] = np.sin(phi[:, 0])
         err[sl] = np.abs(integral[:, 0])
 
-    carry, _ = _evolve_rows(lambda rows: (a[rows, None], d[rows, None], dt), n,
-                            _quat_identity(1), dt / cfg.T, track_err=True, nodes=nodes)
+    carry, _ = _evolve_rows(sample, n, _quat_identity(1), dt / cfg.T, track_err=True,
+                            nodes=nodes)
     psi = _quat_to_unitary(carry[:, 0]) @ psi0
     return Trajectory(times, fid, gap, ph_re, ph_im, err, psi)

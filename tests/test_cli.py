@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import errno
+import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +223,8 @@ class TestWorkersAndThreads:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells):
-                return list(map(fn, cells))
+            def imap(self, fn, cells):
+                return map(fn, cells)
 
         monkeypatch.setattr(cli, "run_chain", spy)
         monkeypatch.setattr(cli, "Pool", InlinePool)
@@ -230,25 +234,32 @@ class TestWorkersAndThreads:
 
     def test_spawn_and_fork_pools_write_the_same_table(self, tmp_path):
         """The pool's workers start by spawn on macOS and Windows and by fork
-        on Linux: a 9-row sweep --workers 2, each in a fresh interpreter
-        under one start method, writes byte-identical tables."""
-        main = ("import multiprocessing, sys\n"
+        on Linux: a 9-row sweep --workers 2 and a 3-block lz table on 2
+        usable CPUs, each in a fresh interpreter under one start method,
+        write byte-identical tables."""
+        main = ("import multiprocessing, os, sys\n"
                 "from quenchsim.cli import main\n"
                 "multiprocessing.set_start_method(sys.argv[1])\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "sys.exit(main(sys.argv[2:]))\n")
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = {"sweep": ["sweep", "--strategy", "geo", "geojump", "--kicks", "2", "4",
+                          "--per-mode-geodesic", "--spins", "16", "--dt", "1e-3",
+                          "--rates", "1", "2", "3", "--workers", "2"],
+                "lz": ["lz", "--strategy", "geo", "--T", "1.0006", "--dt", "1e-4"]}
         tables = {}
         for method in ("spawn", "fork"):
-            out = tmp_path / f"{method}.csv"
-            subprocess.run([sys.executable, "-c", main, method, "sweep", "--strategy", "geo",
-                            "geojump", "--kicks", "2", "4", "--per-mode-geodesic", "--spins", "16",
-                            "--dt", "1e-3", "--rates", "1", "2", "3", "--workers", "2",
-                            "-o", str(out)], env=env, check=True, capture_output=True)
-            tables[method] = out.read_bytes()
-        assert tables["spawn"].count(b"\n") == 10
-        assert tables["spawn"] == tables["fork"]
+            for name, args in runs.items():
+                out = tmp_path / f"{method}-{name}.csv"
+                subprocess.run([sys.executable, "-c", main, method, *args, "-o", str(out)],
+                               env=env, check=True, capture_output=True)
+                tables[method, name] = out.read_bytes()
+        assert tables["spawn", "sweep"].count(b"\n") == 10
+        assert tables["spawn", "lz"].count(b"\n") == 10008
+        for name in runs:
+            assert tables["spawn", name] == tables["fork", name]
 
     @pytest.mark.parametrize("args", [
         ["sweep", "--strategy", "lin", "geo", "geojump", "--kicks", "2",
@@ -256,23 +267,26 @@ class TestWorkersAndThreads:
          "--dt", "1e-3", "--rates", "2", "3.3"],
         ["chain", "--strategy", "geo", "--spins", "14", "--dt", "1e-3", "--rates", "0.7",
          "--modes-out", "m.csv"],
-    ], ids=["sweep", "chain-modes-out"])
+        ["lz", "--strategy", "lin", "--T", "1.0006", "--dt", "1e-4"],
+    ], ids=["sweep", "chain-modes-out", "lz"])
     def test_outputs_independent_of_workers_and_cpus(self, args, tmp_path, monkeypatch):
         """Tables and manifests are byte-identical for --workers 1 and 2 on
-        1, 2 or 4 usable CPUs; manifests differ only in their workers line."""
+        1, 2 or 4 usable CPUs; manifests differ only in their workers line.
+        lz has no --workers: its 3-block table is formatted on the CPUs."""
         outputs = {}
-        for workers in ("1", "2"):
+        for workers in ("1", "2") if args[0] != "lz" else ("",):
             for cpus in (1, 2, 4):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, n=cpus: set(range(n)), raising=False)
                 run_dir = tmp_path / f"w{workers}-c{cpus}"
                 run_dir.mkdir()
                 monkeypatch.chdir(run_dir)
-                assert cli.main(args + ["--workers", workers, "-o", "t.csv"]) == 0
+                flags = ["--workers", workers] if workers else []
+                assert cli.main(args + flags + ["-o", "t.csv"]) == 0
                 outputs[workers, cpus] = {
                     p.name: p.read_bytes().replace(f"workers = {workers}\n".encode(), b"")
                     for p in run_dir.iterdir()}
-        first = outputs["1", 1]
+        first = next(iter(outputs.values()))
         assert len(first) == (4 if "--modes-out" in args else 2)
         assert all(files == first for files in outputs.values())
 
@@ -869,10 +883,10 @@ class TestTableBytes:
         write, manifest = cli._atomic_write, cli._write_manifest
         evolve_lz, run_chain = cli.evolve_lz, cli.run_chain
 
-        def spy_write(path, header, rows):
+        def spy_write(path, header, rows=(), columns=()):
             rows = list(rows)
             expected[path] = fmt_table(header, rows)
-            write(path, header, rows)
+            write(path, header, rows, columns)
 
         def spy_manifest(out_path, resolved):
             expected[out_path + ".manifest.txt"] = fmt_manifest(__version__, resolved)
@@ -921,3 +935,76 @@ class TestTableBytes:
         cli._write_manifest(str(tmp_path / "t.csv"), resolved)
         assert (tmp_path / "t.csv.manifest.txt").read_text() \
             == fmt_manifest(__version__, resolved)
+
+
+class TestFloatTableBlocks:
+    """The float tables (lz, --modes-out) are formatted in blocks of 4096
+    rows, on a pool of min(usable CPUs, blocks) processes when that is two
+    or more, and keep the bytes csv.writer writes for the engine's columns
+    as Python floats."""
+
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 10008])
+    @pytest.mark.parametrize("strategy", [
+        ["--strategy", "lin"], ["--strategy", "geo", "--eps", "-0.1"],
+        ["--strategy", "geojump", "--kicks", "3"],
+    ], ids=["lin", "geo", "geojump"])
+    def test_lz_table_is_the_csv_writer_table_on_any_cpu_count(self, strategy, rows, tmp_path,
+                                                               monkeypatch):
+        """One block less one row, one block, one block and a row, and three
+        blocks, on 1, 2 and 4 usable CPUs."""
+        trajs, sizes, evolve_lz = [], [], cli.evolve_lz
+        monkeypatch.setattr(cli, "evolve_lz", lambda cfg: trajs.append(evolve_lz(cfg)) or trajs[-1])
+        monkeypatch.setattr(cli, "Pool", lambda size: sizes.append(size) or Pool(size))
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)), raising=False)
+            out = tmp_path / f"c{cpus}.csv"
+            assert cli.main(["lz", *strategy, "--T", f"{(rows - 1) * 1e-4:.4f}", "--dt", "1e-4",
+                             "-o", str(out)]) == 0
+            traj = trajs[-1]
+            ref = io.StringIO()
+            writer = csv.writer(ref, lineterminator="\n")
+            writer.writerow(_LZ_HEADER)
+            writer.writerows(zip(*(map(float, c) for c in (
+                traj.times, traj.fidelity, traj.gap, traj.phase_diff_re, traj.phase_diff_im,
+                traj.err))))
+            assert len(traj.times) == rows
+            assert out.read_bytes() == ref.getvalue().encode()
+        blocks = -(-rows // 4096)
+        assert sizes == [min(cpus, blocks) for cpus in (2, 4) if blocks > 1]
+
+    def test_block_formatter_matches_csv_writer_on_edge_values(self):
+        """Signed zeros, subnormals, the repr switch to exponents, a float
+        that is not its decimal, and non-finite values, from strided views."""
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e-4, 1e16, 9999999999999998.0,
+                           0.1 + 0.2, 1 / 3, -3.0, math.inf, -math.inf, math.nan])
+        columns = (values, -values[::-1], values[::-1] * 7)
+        ref = io.StringIO()
+        csv.writer(ref, lineterminator="\n").writerows(zip(*(map(float, c) for c in columns)))
+        assert cli._format_rows(columns) == ref.getvalue()
+
+    def test_failed_write_leaves_no_file_and_joins_the_pool(self, tmp_path, monkeypatch, capsys):
+        """A disk that fills while a 3-block lz table streams in from a pool
+        of 2: exit 2 with the message, nothing at the destination, no
+        temporary file, and no pool worker left when main returns."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fdopen, sizes = os.fdopen, []
+
+        def full_disk(*args, **kwargs):
+            fh = fdopen(*args, **kwargs)
+
+            def writelines(blocks):
+                fh.write(next(iter(blocks)))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.writelines = writelines
+            return fh
+
+        monkeypatch.setattr(os, "fdopen", full_disk)
+        monkeypatch.setattr(cli, "Pool", lambda size: sizes.append(size) or Pool(size))
+        out = tmp_path / "t.csv"
+        assert cli.main(["lz", "--T", "1.0006", "--dt", "1e-4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert sizes == [2]
+        assert os.listdir(tmp_path) == []
+        assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 """Tests for the two-level sweep engine and the adiabaticity error."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,3 +328,20 @@ class TestLinearExact:
         errs = [self.final_state_error(10.0, dt) for dt in (1e-2, 1e-3, 1e-4)]
         orders = np.log10(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(orders - 2.0) < 0.05), orders
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("strategy", [Strategy.LIN, Strategy.GEO])
+    def test_continuous_sweep_traces_under_17_5_mib(self, strategy):
+        """The lz-trajectory run, 250 750 steps (T=100.3, dt=4e-4): the
+        continuous drives sample each chunk's (a, d) from the rows' lam, so
+        what stays is the rows' lam and the six node columns (2 MB each),
+        not a dense (a, d) of every step (19.9 MiB traced with one)."""
+        cfg = cfg_for(strategy, 100.3, 4e-4)
+        tracemalloc.start()
+        try:
+            evolve_lz(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 17.5 * 2**20
