@@ -22,11 +22,12 @@ Runs are fully deterministic: no randomness anywhere, tasks are pure, results
 are reduced in submission order, and every float is written as its shortest
 round-trip repr, the bytes csv.writer writes for a Python float.  The float
 tables (lz, --modes-out) are formatted in blocks of rows, on a pool of up to
-every usable CPU once they span two blocks, and written in order.  So
-identical configs produce byte-identical files for any worker, thread or CPU
-count.  Every output path is checked before any work starts: it must name a
-file in an existing directory, no two files of a run (tables and manifests)
-may be the same, and none may be the run's --input or --config file.
+every usable CPU once each worker gets enough blocks to pay for its start,
+and written in order.  So identical configs produce byte-identical files for
+any worker, thread or CPU count.  Every output path is checked before any
+work starts: it must name a file in an existing directory, no two files of a
+run (tables and manifests) may be the same, and none may be the run's --input
+or --config file.
 Output files are written to a temporary file in the target directory and
 renamed into place, so an interrupted run leaves no partial file at the
 destination; a manifest listing the fully resolved configuration is written
@@ -52,7 +53,6 @@ from .analysis import fit_power_law
 from .freefermion import ChainConfig, Regime, _usable_cpus, run_chain
 from .landau_zener import LZConfig, evolve_lz
 from .schedules import Strategy, kick_train
-from .su2 import _CHUNK
 
 
 def _write_atomically(path: str, write) -> None:
@@ -84,6 +84,15 @@ def _ordered_map(fn, items: list, size: int):
         yield pool.imap(fn, items)
 
 
+# A float table is formatted in blocks of _TABLE_BLOCK rows.  A pool takes
+# them only when each worker gets _BLOCKS_PER_WORKER blocks or more: on 2
+# CPUs a pool of 2 formatted faster than one process from about 5 blocks
+# under fork, but only from about 50 under spawn, whose workers first import
+# numpy and quenchsim (some 100 ms).
+_TABLE_BLOCK = 4096
+_BLOCKS_PER_WORKER = 30
+
+
 def _format_rows(columns: tuple) -> str:
     """The CSV lines of float columns' rows: each float's shortest
     round-trip repr, the bytes csv.writer writes for a Python float."""
@@ -91,17 +100,24 @@ def _format_rows(columns: tuple) -> str:
 
 
 def _atomic_write(path: str, header: list[str], rows: Iterable[tuple] = (),
-                  columns: tuple = ()) -> None:
-    """The table: its header, then rows through csv.writer or the rows of
-    float columns (one length), formatted in blocks of _CHUNK rows on up to
-    every usable CPU and written in order."""
-    n = len(columns[0]) if columns else 0
-    blocks = [tuple(c[i:i + _CHUNK] for c in columns) for i in range(0, n, _CHUNK)]
-    with _ordered_map(_format_rows, blocks, min(_usable_cpus(), len(blocks))) as text:
+                  columns: tuple | None = None) -> None:
+    """The table: its header, then rows through csv.writer or, given
+    columns, the rows of float columns (one length) formatted in blocks on a
+    pool of up to every usable CPU and written in order."""
+    if columns is None:
         def write(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
+
+        _write_atomically(path, write)
+        return
+    n = len(columns[0])
+    blocks = [tuple(c[i:i + _TABLE_BLOCK] for c in columns) for i in range(0, n, _TABLE_BLOCK)]
+    size = min(_usable_cpus(), len(blocks) // _BLOCKS_PER_WORKER)
+    with _ordered_map(_format_rows, blocks, size) as text:
+        def write(fh):
+            csv.writer(fh, lineterminator="\n").writerow(header)
             fh.writelines(text)
 
         _write_atomically(path, write)

@@ -234,14 +234,16 @@ class TestWorkersAndThreads:
 
     def test_spawn_and_fork_pools_write_the_same_table(self, tmp_path):
         """The pool's workers start by spawn on macOS and Windows and by fork
-        on Linux: a 9-row sweep --workers 2 and a 3-block lz table on 2
-        usable CPUs, each in a fresh interpreter under one start method,
-        write byte-identical tables."""
+        on Linux: a 9-row sweep --workers 2 on the host's CPUs and a 3-block
+        lz table sent to a pool of 2, each in a fresh interpreter under one
+        start method, write byte-identical tables."""
         main = ("import multiprocessing, os, sys\n"
-                "from quenchsim.cli import main\n"
+                "from quenchsim import cli\n"
                 "multiprocessing.set_start_method(sys.argv[1])\n"
-                "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "sys.exit(main(sys.argv[2:]))\n")
+                "if sys.argv[2] == 'lz':\n"
+                "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "    cli._BLOCKS_PER_WORKER = 1\n"
+                "sys.exit(cli.main(sys.argv[2:]))\n")
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -272,7 +274,9 @@ class TestWorkersAndThreads:
     def test_outputs_independent_of_workers_and_cpus(self, args, tmp_path, monkeypatch):
         """Tables and manifests are byte-identical for --workers 1 and 2 on
         1, 2 or 4 usable CPUs; manifests differ only in their workers line.
-        lz has no --workers: its 3-block table is formatted on the CPUs."""
+        lz has no --workers: its 3-block table is formatted on the CPUs, one
+        block per worker at the least."""
+        monkeypatch.setattr(cli, "_BLOCKS_PER_WORKER", 1)
         outputs = {}
         for workers in ("1", "2") if args[0] != "lz" else ("",):
             for cpus in (1, 2, 4):
@@ -883,7 +887,7 @@ class TestTableBytes:
         write, manifest = cli._atomic_write, cli._write_manifest
         evolve_lz, run_chain = cli.evolve_lz, cli.run_chain
 
-        def spy_write(path, header, rows=(), columns=()):
+        def spy_write(path, header, rows=(), columns=None):
             rows = list(rows)
             expected[path] = fmt_table(header, rows)
             write(path, header, rows, columns)
@@ -939,9 +943,9 @@ class TestTableBytes:
 
 class TestFloatTableBlocks:
     """The float tables (lz, --modes-out) are formatted in blocks of 4096
-    rows, on a pool of min(usable CPUs, blocks) processes when that is two
-    or more, and keep the bytes csv.writer writes for the engine's columns
-    as Python floats."""
+    rows, on a pool of min(usable CPUs, blocks // 30) processes when that is
+    two or more, and keep the bytes csv.writer writes for the engine's
+    columns as Python floats."""
 
     @pytest.mark.parametrize("rows", [4095, 4096, 4097, 10008])
     @pytest.mark.parametrize("strategy", [
@@ -951,7 +955,9 @@ class TestFloatTableBlocks:
     def test_lz_table_is_the_csv_writer_table_on_any_cpu_count(self, strategy, rows, tmp_path,
                                                                monkeypatch):
         """One block less one row, one block, one block and a row, and three
-        blocks, on 1, 2 and 4 usable CPUs."""
+        blocks, on 1, 2 and 4 usable CPUs, with a pool of one worker per
+        block at the most."""
+        monkeypatch.setattr(cli, "_BLOCKS_PER_WORKER", 1)
         trajs, sizes, evolve_lz = [], [], cli.evolve_lz
         monkeypatch.setattr(cli, "evolve_lz", lambda cfg: trajs.append(evolve_lz(cfg)) or trajs[-1])
         monkeypatch.setattr(cli, "Pool", lambda size: sizes.append(size) or Pool(size))
@@ -973,6 +979,22 @@ class TestFloatTableBlocks:
         blocks = -(-rows // 4096)
         assert sizes == [min(cpus, blocks) for cpus in (2, 4) if blocks > 1]
 
+    def test_pool_workers_get_thirty_blocks_each(self, tmp_path, monkeypatch):
+        """The default lz table (3 blocks) stays in process on 4 CPUs; in
+        blocks of 100 rows its 101 blocks go to a pool of 2 on 2 CPUs and of
+        3 on 4, and every table has the same bytes."""
+        sizes, tables = [], set()
+        monkeypatch.setattr(cli, "Pool", lambda size: sizes.append(size) or Pool(size))
+        for block, cpus in ((4096, 4), (100, 1), (100, 2), (100, 4)):
+            monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)), raising=False)
+            out = tmp_path / f"b{block}-c{cpus}.csv"
+            assert cli.main(["lz", "-o", str(out)]) == 0
+            tables.add(out.read_bytes())
+        assert sizes == [2, 3]
+        assert len(tables) == 1
+
     def test_block_formatter_matches_csv_writer_on_edge_values(self):
         """Signed zeros, subnormals, the repr switch to exponents, a float
         that is not its decimal, and non-finite values, from strided views."""
@@ -988,6 +1010,7 @@ class TestFloatTableBlocks:
         of 2: exit 2 with the message, nothing at the destination, no
         temporary file, and no pool worker left when main returns."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_BLOCKS_PER_WORKER", 1)
         fdopen, sizes = os.fdopen, []
 
         def full_disk(*args, **kwargs):
