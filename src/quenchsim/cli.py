@@ -41,6 +41,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable
@@ -235,7 +236,7 @@ def _run_lz(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     traj = evolve_lz(LZConfig(
         eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=cfg["T"], dt=cfg["dt"],
-        strategy=Strategy(cfg["strategy"]),
+        strategy=cfg["strategy"],
         kicks=kick_train(cfg["kicks"], cfg["pulse_width"] or cfg["dt"]) if cfg["kicks"] else None,
     ))
     _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"],
@@ -261,17 +262,16 @@ def _chain_cells(cfg: dict, combos: list[tuple], rates: list[float]) -> list[tup
     """The (rate, ChainConfig) cells of a table: every rate of each
     (strategy, kicks, width) combination in turn.  A width of 0 means dt.
     Building a config checks it, so a bad cell fails before any runs."""
-    regime = Regime(cfg["regime"])
-    gamma = cfg["gamma"] or _REGIME_DEFAULTS[regime][0]
-    h = cfg["h"] or _REGIME_DEFAULTS[regime][1]
+    gamma = cfg["gamma"] or _REGIME_DEFAULTS[cfg["regime"]][0]
+    h = cfg["h"] or _REGIME_DEFAULTS[cfg["regime"]][1]
     cells = []
     for strategy, kicks, width in combos:
         train = kick_train(kicks, width or cfg["dt"]) if kicks else None
         for rate in rates:
             cells.append((rate, ChainConfig(
-                n_spins=int(cfg["spins"]), regime=regime,
+                n_spins=cfg["spins"], regime=cfg["regime"],
                 gamma_i=gamma[0], gamma_f=gamma[1], h_i=h[0], h_f=h[1],
-                T=1.0 / rate, dt=cfg["dt"], strategy=Strategy(strategy), kicks=train,
+                T=1.0 / rate, dt=cfg["dt"], strategy=strategy, kicks=train,
                 collective_geodesic=not cfg["per_mode_geodesic"],
             )))
     return cells
@@ -448,6 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "fit_report.csv")
     p.set_defaults(func=_run_fit, parser=p)
 
+    # argparse's negative-number pattern (a private attribute on Python 3.10 to 3.13) reads
+    # -1e3 as a flag; no subcommand has a flag that looks like a number, so allow exponents
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

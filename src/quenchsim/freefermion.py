@@ -78,9 +78,9 @@ class Regime(str, enum.Enum):
 
 
 def momentum_grid(n_spins: int) -> np.ndarray:
-    """k_m = (2m-1) pi / N for m = 1..N/2; requires even N >= 2."""
-    if n_spins < 2 or n_spins % 2 != 0:
-        raise ValueError(f"n_spins must be even and >= 2, got {n_spins}")
+    """k_m = (2m-1) pi / N for m = 1..N/2; requires an even integer N >= 2."""
+    if not isinstance(n_spins, (int, np.integer)) or n_spins < 2 or n_spins % 2 != 0:
+        raise ValueError(f"n_spins must be an even integer >= 2, got {n_spins}")
     m = np.arange(1, n_spins // 2 + 1)
     return (2 * m - 1) * np.pi / n_spins
 
@@ -124,14 +124,14 @@ class ChainConfig(Run):
     every ramp of the control samples that one map.  For the geodesic
     strategy, collective_geodesic selects one shared control ramp with
     constant speed under the summed mode metric (default) instead of an
-    independent constant-speed schedule per mode.  The step grid and the
-    checks on T, dt and kicks come from schedules.Run.  Rejected before
-    evolving: a control whose generator a^2 + d^2 overflows on some mode at
-    either end, and so on the path between them; a continuous drive whose
-    phase 4 |(a, d)| T overflows; per-mode geodesics with h = cos k on some
-    mode; and a collective geodesic whose (a^2 + d^2)^2 overflows at either
-    end, or on which some mode's (a, d) passes through (0, 0), where the gap
-    closes and the summed metric diverges.
+    independent constant-speed schedule per mode.  Regime(...) converts regime
+    first; schedules.Run converts strategy and checks T, dt and kicks, and
+    momentum_grid n_spins.  Rejected before evolving: a control whose generator
+    a^2 + d^2 overflows on some mode at either end, and so on the path between
+    them; a continuous drive whose phase 4 |(a, d)| T overflows; per-mode
+    geodesics with h = cos k on some mode; and a collective geodesic whose
+    (a^2 + d^2)^2 overflows at either end, or on which some mode's (a, d)
+    passes through (0, 0), where the gap closes and the summed metric diverges.
     """
 
     n_spins: int
@@ -147,6 +147,7 @@ class ChainConfig(Run):
     collective_geodesic: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "regime", Regime(self.regime))
         super().__post_init__()
         ks = momentum_grid(self.n_spins)
         if self.regime is Regime.ISING:

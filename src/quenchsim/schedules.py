@@ -90,10 +90,20 @@ def xy_geodesic_schedule(ks, varies_h: bool, p_i: float, p_f: float, fixed: floa
 @dataclass(frozen=True)
 class KickTrain:
     """Square-pulse envelope: n_kicks pulses of width delta_t, each of area
-    exactly pi/2, starting at the scaled times lam; a Run puts them on its T."""
+    exactly pi/2, starting at the scaled times lam; a Run puts them on its T.
+    Built, it checks and holds n_kicks as a positive int, delta_t as a finite float > 0."""
 
     n_kicks: int
     delta_t: float
+
+    def __post_init__(self):
+        n, width = self.n_kicks, self.delta_t
+        if not 1 <= n < math.inf or int(n) != n:
+            raise ValueError(f"n_kicks must be a positive integer, got {n}")
+        if not 0 < width < math.inf:
+            raise ValueError(f"pulse width must be positive and finite, got delta_t={width}")
+        object.__setattr__(self, "n_kicks", int(n))
+        object.__setattr__(self, "delta_t", float(width))
 
     @property
     def amplitude(self) -> float:
@@ -108,10 +118,11 @@ class KickTrain:
 class Run:
     """Field-less base of ChainConfig and LZConfig: the step grid, the rows
     both engines step (Run.layout), and the checks every run shares.  A
-    subclass holds the fields T, dt, strategy and kicks and calls
-    super().__post_init__() before its own checks."""
+    subclass holds the fields T, dt, strategy (converted here, by Strategy(...))
+    and kicks and calls super().__post_init__() before its own checks."""
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, numbers.Real) and not math.isfinite(value):
@@ -201,10 +212,5 @@ class Run:
 
 
 def kick_train(n_kicks: int, delta_t: float) -> KickTrain:
-    """Build the pulse train; the run it drives rejects overlapping pulses
-    and pulses that run past its end (t_n + delta_t must not exceed T)."""
-    if n_kicks < 1 or int(n_kicks) != n_kicks:
-        raise ValueError(f"n_kicks must be a positive integer, got {n_kicks}")
-    if not 0 < delta_t < math.inf:
-        raise ValueError(f"pulse width must be positive and finite, got delta_t={delta_t}")
-    return KickTrain(int(n_kicks), float(delta_t))
+    """KickTrain(n_kicks, delta_t), which checks both; a Run checks its pulses against T."""
+    return KickTrain(n_kicks, delta_t)

@@ -34,6 +34,19 @@ class TestParsing:
             cli.main(["lz", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args,setting", [
+        (["chain", "--h", "10", "-1e3"], "h = [10.0, -1000.0]"),
+        (["lz", "--x", "-1e2", "1e2"], "x = [-100.0, 100.0]"),
+        (["chain", "--regime", "anisotropy", "--h", "0.5", "0.5", "--gamma", "-1e-1", "1"],
+         "gamma = [-0.1, 1.0]"),
+    ], ids=["chain-h", "lz-x", "chain-gamma"])
+    def test_negative_numbers_in_exponent_form(self, args, setting, tmp_path):
+        """argparse's own pattern reads -1e3 as a flag; the subcommands take it as a number."""
+        out = tmp_path / "t.csv"
+        rest = ["--spins", "8", "--rates", "1", "--dt", "1e-3"] if args[0] == "chain" else []
+        assert cli.main([*args, *rest, "-o", str(out)]) == 0
+        assert setting in (tmp_path / "t.csv.manifest.txt").read_text().splitlines()
+
     def test_odd_spin_count_rejected(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         code = cli.main(["chain", "--spins", "251", "--rates", "1.0",

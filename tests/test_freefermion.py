@@ -71,9 +71,17 @@ class TestMomentumGrid:
         ks = momentum_grid(64)
         assert np.all((ks > 0) & (ks < np.pi))
 
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            momentum_grid(251)
+    @pytest.mark.parametrize("n_spins", [251, 0, 4.0, 4.5])
+    def test_rejects_odd(self, n_spins):
+        """An odd, too small or non-integer count is rejected by name, also
+        by a config: a float count used to fail inside the run with TypeError."""
+        message = f"n_spins must be an even integer >= 2, got {n_spins}"
+        with pytest.raises(ValueError) as exc:
+            momentum_grid(n_spins)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            ising_cfg(1.0, 1e-3, Strategy.LIN, n_spins=n_spins)
+        assert str(exc.value) == message
 
 
 class TestKModeHamiltonian:

@@ -1,13 +1,15 @@
 """Tests for control paths, kick trains, and the anisotropy metric."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from quenchsim.freefermion import ChainConfig, Regime, _bloch_components, momentum_grid
-from quenchsim.landau_zener import LZConfig
-from quenchsim.schedules import Strategy, _geodesic_angles, kick_train, xy_geodesic_schedule
+from quenchsim.freefermion import ChainConfig, Regime, _bloch_components, momentum_grid, run_chain
+from quenchsim.landau_zener import LZConfig, evolve_lz
+from quenchsim.schedules import (KickTrain, Strategy, _geodesic_angles, kick_train,
+                                 xy_geodesic_schedule)
 
 from oracles import fs_metric_gamma, fs_metric_h
 
@@ -317,6 +319,65 @@ class TestRunBase:
         assert str(exc.value) == message
 
 
+_REGIME_LINES = {  # (gamma_i, gamma_f, h_i, h_f) of a run on each line
+    Regime.ISING: (1.0, 1.0, 10.0, 0.0),
+    Regime.ANISOTROPY: (-1.0, 1.0, 0.5, 0.5),
+    Regime.GAPLESS: (-1.0, 1.0, 1.0, 1.0),
+}
+_CHAIN_PATHS = {
+    "lin": dict(strategy=Strategy.LIN),
+    "collective-geo": dict(strategy=Strategy.GEO),
+    "per-mode-geo": dict(strategy=Strategy.GEO, collective_geodesic=False),
+    "geojump-width-dt": dict(strategy=_JUMP, kicks=kick_train(3, 1e-3)),
+    "geojump-finite-width": dict(strategy=_JUMP, kicks=kick_train(3, 0.05)),
+}
+_LZ_PATHS = {
+    "lin": dict(strategy=Strategy.LIN),
+    "geo": dict(strategy=Strategy.GEO),
+    "geojump": dict(strategy=_JUMP, kicks=kick_train(3, 1e-3)),
+}
+
+
+def _as_strings(run: dict) -> dict:
+    """run with each enum value replaced by its string."""
+    return {key: getattr(value, "value", value) for key, value in run.items()}
+
+
+class TestStringInputs:
+    """A config takes a strategy or regime as its enum or as the enum's
+    string: it converts the string, so both run on the same path."""
+
+    @pytest.mark.parametrize("path", _CHAIN_PATHS.values(), ids=_CHAIN_PATHS.keys())
+    @pytest.mark.parametrize("regime", _REGIME_LINES, ids=lambda r: r.value)
+    def test_chain_runs_bitwise_like_the_enum_config(self, regime, path):
+        run = dict(zip(("gamma_i", "gamma_f", "h_i", "h_f"), _REGIME_LINES[regime]),
+                   n_spins=8, regime=regime, T=1.0, dt=1e-3, **path)
+        by_string, by_enum = ChainConfig(**_as_strings(run)), ChainConfig(**run)
+        assert by_string.strategy is path["strategy"] and by_string.regime is regime
+        assert by_string == by_enum
+        (res_s, err_s), (res_e, err_e) = (run_chain(c, track_err=True)
+                                          for c in (by_string, by_enum))
+        assert res_s.pk.tobytes() == res_e.pk.tobytes()
+        assert repr(res_s.n_defect) == repr(res_e.n_defect)
+        assert err_s.tobytes() == err_e.tobytes()
+
+    @pytest.mark.parametrize("path", _LZ_PATHS.values(), ids=_LZ_PATHS.keys())
+    def test_lz_runs_bitwise_like_the_enum_config(self, path):
+        run = dict(**_RUN_BASE[LZConfig], T=1.0, dt=1e-3, **path)
+        by_string, by_enum = LZConfig(**_as_strings(run)), LZConfig(**run)
+        assert by_string.strategy is path["strategy"]
+        assert by_string == by_enum
+        traj_s, traj_e = evolve_lz(by_string), evolve_lz(by_enum)
+        for f in fields(traj_e):
+            assert getattr(traj_s, f.name).tobytes() == getattr(traj_e, f.name).tobytes(), f.name
+
+    @pytest.mark.parametrize("config,field", [(ChainConfig, "strategy"), (ChainConfig, "regime"),
+                                              (LZConfig, "strategy")])
+    def test_unknown_value_is_rejected_by_name(self, config, field):
+        with pytest.raises(ValueError, match="'bogus'"):
+            config(**{**_RUN_BASE[config], "T": 1.0, "dt": 1e-3, field: "bogus"})
+
+
 class TestKickTrain:
     def test_single_kick_at_midpoint(self):
         assert kicked(1, 1e-3).kick_times == pytest.approx([0.5])
@@ -346,11 +407,37 @@ class TestKickTrain:
         cfg = kicked(5, 0.1)
         assert cfg.kick_times[-1] + cfg.kicks.delta_t == pytest.approx(1.0)
 
-    def test_rejects_bad_counts_and_widths(self):
-        with pytest.raises(ValueError):
-            kick_train(0, 0.1)
-        with pytest.raises(ValueError):
-            kick_train(2, 0.0)
+    @pytest.mark.parametrize("build", [kick_train, KickTrain], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("n_kicks,delta_t,message", [
+        (0, 0.1, "n_kicks must be a positive integer, got 0"),
+        (2.5, 1e-3, "n_kicks must be a positive integer, got 2.5"),
+        (math.nan, 1e-3, "n_kicks must be a positive integer, got nan"),
+        (math.inf, 1e-3, "n_kicks must be a positive integer, got inf"),
+        (2, 0.0, "pulse width must be positive and finite, got delta_t=0.0"),
+        (2, -1e-3, "pulse width must be positive and finite, got delta_t=-0.001"),
+        (2, math.nan, "pulse width must be positive and finite, got delta_t=nan"),
+        (2, math.inf, "pulse width must be positive and finite, got delta_t=inf"),
+    ], ids=["zero-count", "fractional-count", "nan-count", "inf-count", "zero-width",
+            "negative-width", "nan-width", "inf-width"])
+    def test_rejects_bad_counts_and_widths(self, build, n_kicks, delta_t, message):
+        """Built directly or through kick_train, a train is checked alike
+        (and with no RuntimeWarning, which the suite raises as an error)."""
+        with pytest.raises(ValueError) as exc:
+            build(n_kicks, delta_t)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("config", [ChainConfig, LZConfig], ids=lambda c: c.__name__)
+    def test_a_train_without_kicks_fails_before_the_run(self, config):
+        """A zero-kick train used to reach the run and fail there with IndexError."""
+        with pytest.raises(ValueError, match="n_kicks must be a positive integer, got 0"):
+            config(**_RUN_BASE[config], T=1.0, dt=1e-3, strategy=_JUMP,
+                   kicks=KickTrain(0, 1e-3))
+
+    @pytest.mark.parametrize("build", [kick_train, KickTrain], ids=lambda b: b.__name__)
+    def test_holds_an_int_count_and_a_float_width(self, build):
+        kt = build(2.0, 1)
+        assert type(kt.n_kicks) is int and kt.n_kicks == 2
+        assert type(kt.delta_t) is float and kt.delta_t == 1.0
 
 
 def dense_ground(k, gamma, h):
