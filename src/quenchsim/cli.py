@@ -53,7 +53,7 @@ from . import __version__
 from .analysis import fit_power_law
 from .freefermion import ChainConfig, Regime, _usable_cpus, run_chain
 from .landau_zener import LZConfig, evolve_lz
-from .schedules import Strategy, kick_train
+from .schedules import KickTrain, Strategy, kick_train
 
 
 def _write_atomically(path: str, write) -> None:
@@ -76,13 +76,19 @@ def _write_atomically(path: str, write) -> None:
 @contextmanager
 def _ordered_map(fn, items: list, size: int):
     """An iterator of fn(item) over items, in order: in process for size 1,
-    else from a pool of size processes that take one item per task.  The
-    pool is joined on exit."""
+    else from a pool of size processes that take one item per task.  After
+    an error the pool is closed and joined, not terminated: terminate can
+    hang while the task thread still sends an item (seen with 200 kB blocks)."""
     if size <= 1:
         yield map(fn, items)
         return
     with Pool(size) as pool:
-        yield pool.imap(fn, items)
+        try:
+            yield pool.imap(fn, items)
+        except Exception:
+            pool.close()
+            pool.join()
+            raise
 
 
 # A float table is formatted in blocks of _TABLE_BLOCK rows.  A pool takes
@@ -142,7 +148,7 @@ def _parse_rates(tokens: list) -> list[float]:
     """Either 'log MIN MAX COUNT' or an explicit list of positive rates."""
     if len(tokens) == 0:
         raise ValueError("empty rate specification")
-    if str(tokens[0]) == "log":
+    if tokens[0] == "log":
         if len(tokens) != 4:
             raise ValueError("log rate range needs exactly: log MIN MAX COUNT")
         lo, hi = _rate_token(float, tokens[1]), _rate_token(float, tokens[2])
@@ -217,7 +223,7 @@ def _settings(ns: argparse.Namespace) -> dict:
 
 
 def _resolve_workers(spec) -> int:
-    if spec in (None, "auto"):
+    if spec == "auto":
         return _usable_cpus()
     try:
         n = int(spec)
@@ -228,6 +234,13 @@ def _resolve_workers(spec) -> int:
     return n
 
 
+def _kick_setting(n_kicks: int, width: float, dt: float) -> KickTrain | None:
+    """--kicks and --pulse-width as a KickTrain: None for 0 kicks; a width of 0 means dt."""
+    if n_kicks == 0 and width:
+        raise ValueError(f"--pulse-width {width} needs --kicks >= 1")
+    return kick_train(n_kicks, width or dt) if n_kicks else None
+
+
 # ---------------------------------------------------------------------------
 # lz
 # ---------------------------------------------------------------------------
@@ -236,8 +249,7 @@ def _run_lz(ns: argparse.Namespace) -> int:
     cfg = _settings(ns)
     traj = evolve_lz(LZConfig(
         eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=cfg["T"], dt=cfg["dt"],
-        strategy=cfg["strategy"],
-        kicks=kick_train(cfg["kicks"], cfg["pulse_width"] or cfg["dt"]) if cfg["kicks"] else None,
+        strategy=cfg["strategy"], kicks=_kick_setting(cfg["kicks"], cfg["pulse_width"], cfg["dt"]),
     ))
     _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"],
                   columns=(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
@@ -260,13 +272,13 @@ _REGIME_DEFAULTS = {Regime.ISING: ([1.0, 1.0], [10.0, 0.0]),
 
 def _chain_cells(cfg: dict, combos: list[tuple], rates: list[float]) -> list[tuple]:
     """The (rate, ChainConfig) cells of a table: every rate of each
-    (strategy, kicks, width) combination in turn.  A width of 0 means dt.
+    (strategy, kicks, width) combination in turn, decoded by _kick_setting.
     Building a config checks it, so a bad cell fails before any runs."""
     gamma = cfg["gamma"] or _REGIME_DEFAULTS[cfg["regime"]][0]
     h = cfg["h"] or _REGIME_DEFAULTS[cfg["regime"]][1]
     cells = []
     for strategy, kicks, width in combos:
-        train = kick_train(kicks, width or cfg["dt"]) if kicks else None
+        train = _kick_setting(kicks, width, cfg["dt"])
         for rate in rates:
             cells.append((rate, ChainConfig(
                 n_spins=cfg["spins"], regime=cfg["regime"],
@@ -331,8 +343,7 @@ def _run_table(ns: argparse.Namespace) -> int:
     # does not depend on track_err
     results = _run_cells(_chain_cells(cfg, combos, rates), workers, track_err=bool(modes_out))
     _atomic_write(cfg["out"], _SWEEP_HEADER, [row for row, _, _ in results])
-    resolved = dict(cfg)
-    resolved["rates"] = [float(r) for r in rates]
+    resolved = {**cfg, "rates": rates}
     _write_manifest(cfg["out"], resolved)
     written = [cfg["out"]]
     if modes_out:

@@ -121,17 +121,18 @@ class ChainConfig(Run):
     h = h_i = h_f; the Ising regime sweeps h_i -> h_f at gamma = 1.  control
     gives the varying control's endpoints (p_i, p_f), and generator(p, s, c)
     the (a, d) of the modes with sin k = s, cos k = c at control value p;
-    every ramp of the control samples that one map.  For the geodesic
-    strategy, collective_geodesic selects one shared control ramp with
-    constant speed under the summed mode metric (default) instead of an
-    independent constant-speed schedule per mode.  Regime(...) converts regime
-    first; schedules.Run converts strategy and checks T, dt and kicks, and
-    momentum_grid n_spins.  Rejected before evolving: a control whose generator
-    a^2 + d^2 overflows on some mode at either end, and so on the path between
-    them; a continuous drive whose phase 4 |(a, d)| T overflows; per-mode
-    geodesics with h = cos k on some mode; and a collective geodesic whose
-    (a^2 + d^2)^2 overflows at either end, or on which some mode's (a, d)
-    passes through (0, 0), where the gap closes and the summed metric diverges.
+    every path samples that one map, a ramp at the ramped p and a per-mode
+    geodesic at its ends.  For the geodesic strategy, collective_geodesic
+    selects one shared control ramp with constant speed under the summed
+    mode metric (default) instead of an independent constant-speed schedule
+    per mode.  Regime(...) converts regime first; schedules.Run converts
+    strategy and checks T, dt and kicks, and momentum_grid n_spins.  Rejected
+    before evolving: a control whose generator a^2 + d^2 overflows on some
+    mode at either end, and so on the path between them; a continuous drive
+    whose phase 4 |(a, d)| T overflows; per-mode geodesics on a gamma line
+    with h = cos k on some mode; and a collective geodesic whose (a^2 + d^2)^2
+    overflows at either end, or on which some mode's (a, d) passes through
+    (0, 0), where the gap closes and the summed metric diverges.
     """
 
     n_spins: int
@@ -192,8 +193,10 @@ class ChainConfig(Run):
         if collective and np.any(closed):
             raise ValueError(f"the gap closes at k={float(ks[np.argmax(closed)])!r} between "
                              f"{name}_i and {name}_f: no collective geodesic crosses it")
-        if self.on_mode_geodesics:
-            _mode_geodesic_angles(self, ks)
+        bad = np.abs(a_i) < 1e-12  # a per-mode geodesic on a gamma line holds a fixed
+        if self.on_mode_geodesics and not self.varies_h and np.any(bad):
+            raise ValueError(
+                f"h = cos(k) = {float(c[np.argmax(bad)])}: anisotropy mixing angle undefined")
 
     @property
     def varies_h(self) -> bool:
@@ -267,8 +270,11 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
 
 
 def _mode_geodesic_angles(cfg: ChainConfig, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode affine angle endpoints (theta_i, theta_f) for geodesic paths."""
-    return xy_geodesic_schedule(ks, cfg.varies_h, *cfg.control, cfg.h_i)
+    """Per-mode angle endpoints (theta_i, theta_f) between cfg.generator's ends:
+    a = d tan(theta) at fixed d on the field line, d = a tan(theta) on the gamma lines."""
+    s, c = np.sin(ks), np.cos(ks)
+    (a_i, d_i), (a_f, d_f) = (cfg.generator(p, s, c) for p in cfg.control)
+    return xy_geodesic_schedule(*((a_i, a_f, d_i) if cfg.varies_h else (d_i, d_f, a_i)))
 
 
 def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
@@ -284,16 +290,13 @@ def _bloch_components(cfg: ChainConfig, ks: np.ndarray) -> Callable:
     if cfg.on_mode_geodesics:
         th_i, th_f = _mode_geodesic_angles(cfg, ks)
         dth = th_f - th_i
+        # the generator's fixed component: d on the field line, a on the gamma lines
+        fixed = cfg.generator(cfg.control[0], s, c)[1 if cfg.varies_h else 0]
 
         def geodesic(frac, cols=slice(None)):
             th = th_i[None, cols] + dth[None, cols] * frac[:, None]
-            if cfg.varies_h:
-                # field convention: tan(theta) = (h - cos k)/sin k
-                d = np.broadcast_to(cfg.gamma_i * s[cols], th.shape)
-                return s[None, cols] * np.tan(th), d
-            # anisotropy convention: tan(theta) = gamma sin k / a
-            a = cfg.h_i - c[cols]
-            return np.broadcast_to(a, th.shape), a[None, :] * np.tan(th)
+            x, y = np.broadcast_to(fixed[cols], th.shape), fixed[None, cols] * np.tan(th)
+            return (y, x) if cfg.varies_h else (x, y)
 
         return geodesic
     p_i, p_f = cfg.control

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedules import KickTrain, Run, Strategy, _geodesic_angles
+from .schedules import KickTrain, Run, Strategy, xy_geodesic_schedule
 from .su2 import _evolve_rows, _quat_identity, _quat_to_unitary
 from .su2 import _phase_ramp  # noqa: F401  (wrapped by name in perfbench/tracer.py)
 
@@ -123,7 +123,7 @@ def evolve_lz(cfg: LZConfig) -> Trajectory:
     if cfg.strategy is not Strategy.LIN:
         # both geodesics follow x = eps tan(theta), theta affine in t/T;
         # LZConfig has rejected eps = 0
-        th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
+        th_i, th_f = xy_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
     if cfg.strategy is Strategy.LIN:
         def sample(rows):
             d = -(cfg.x_i + (cfg.x_f - cfg.x_i) * lam[rows, None]) / 4

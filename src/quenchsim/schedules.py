@@ -4,9 +4,9 @@ Linear ramps need no object: the engines interpolate the control directly.
 A geodesic moves the mixing angle theta affinely in the scaled time
 frac = t/T in [0, 1], at constant Fubini-Study speed.  Every geodesic, the
 two-level sweep's and each chain mode's on either line, takes its endpoints
-from one rule: theta_i = atan2(y_i, x), and atan2(y_f, x) moved onto the short
-great-circle arc from theta_i, so a path whose diagonal component x changes
-sign picks up no branch jump and tan(theta) crosses no pole.
+from one rule, xy_geodesic_schedule(y_i, y_f, x) for the path y = x tan(theta)
+at fixed x: theta_i = atan2(y_i, x), and atan2(y_f, x) moved onto the short
+great-circle arc from theta_i.
 
 A KickTrain holds the square-pulse envelope of the kicked-geodesic strategy:
 n equally spaced pulses of width delta_t and amplitude pi/(2*delta_t), i.e.
@@ -37,9 +37,6 @@ class Strategy(str, enum.Enum):
     GEO_JUMP = "geojump"
 
 
-# absolute floor below which sin(k) is treated as zero (k at 0 or pi)
-_SINK_TOL = 1e-12
-
 _atan2 = np.frompyfunc(math.atan2, 2, 1)  # elementwise math.atan2
 
 
@@ -52,39 +49,17 @@ def _short_arc(th_i, th_f):
     return np.where(np.abs(th_f - th_i) > math.pi, th_i + (w - math.pi), th_f)
 
 
-def _geodesic_angles(y_i, y_f, x):
-    """(theta_i, theta_f) float arrays by the module's rule.  math.atan2 is
-    applied per element: numpy's arctan2 differs from it in the last place
-    on some inputs."""
+def xy_geodesic_schedule(y_i, y_f, x):
+    """Geodesic angle endpoints (theta_i, theta_f), float arrays over the
+    broadcast inputs, of the path y = x tan(theta) at fixed x from y_i to y_f.
+
+    theta_i = atan2(y_i, x), by math.atan2 per element (numpy's arctan2
+    differs from it in the last place on some inputs).  theta_f continues
+    theta_i along the short great-circle arc, so a path whose x is negative
+    picks up no branch jump and tan(theta) crosses no pole.
+    """
     th_i = np.asarray(_atan2(y_i, x), dtype=float)
     return th_i, _short_arc(th_i, np.asarray(_atan2(y_f, x), dtype=float))
-
-
-def xy_geodesic_schedule(ks, varies_h: bool, p_i: float, p_f: float, fixed: float):
-    """Per-mode geodesic angle endpoints (theta_i, theta_f), arrays over ks.
-
-    varies_h=False varies gamma at fixed h using tan(theta) = gamma sin k / (h - cos k);
-    varies_h=True varies h at fixed gamma using tan(theta) = (h - cos k) / sin k,
-    and does not read fixed.  The two conventions are reciprocal; each is the
-    natural one for its sweep (the field form stays pole-free when h crosses
-    cos k).  theta_f continues theta_i along the short great-circle arc,
-    which keeps tan(theta(t)) continuous when h - cos k < 0.
-    """
-    ks = np.asarray(ks, dtype=float)
-    s, c = np.sin(ks), np.cos(ks)
-    bad = np.abs(s) < _SINK_TOL
-    if np.any(bad):
-        k = float(ks[np.argmax(bad)])
-        raise ValueError(f"k={k} has sin(k)=0; modes at 0 or pi carry no coupling")
-    if varies_h:
-        return _geodesic_angles(p_i - c, p_f - c, s)
-    a = fixed - c  # fixed = h
-    bad = np.abs(a) < 1e-12
-    if np.any(bad):
-        raise ValueError(
-            f"h = cos(k) = {float(c[np.argmax(bad)])}: anisotropy mixing angle undefined"
-        )
-    return _geodesic_angles(p_i * s, p_f * s, a)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,21 @@ class TestParsing:
         assert code == 2
         assert "conflict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["lz", "--pulse-width", "0.01"],
+        ["chain", "--strategy", "geo", "--pulse-width", "0.01", "--rates", "1", "--spins", "8"],
+        ["sweep", "--strategy", "geojump", "--kicks", "0", "--pulse-width", "0.01",
+         "--rates", "1", "--spins", "8"],
+    ], ids=["lz", "chain", "sweep"])
+    def test_pulse_width_without_kicks_exits_2(self, args, tmp_path, capsys, monkeypatch):
+        """A pulse width with 0 kicks would be dropped: it is rejected before any run."""
+        monkeypatch.setattr(freefermion, "evolve_modes", _fail)
+        monkeypatch.setattr(cli, "evolve_lz", _fail)
+        out = tmp_path / "x.csv"
+        assert cli.main([*args, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --pulse-width 0.01 needs --kicks >= 1\n"
+        assert not out.exists()
+
     def test_config_file_flag_precedence(self, tmp_path):
         """Flags override config-file values."""
         cfg = tmp_path / "run.json"
@@ -1044,3 +1059,38 @@ class TestFloatTableBlocks:
         assert sizes == [2]
         assert os.listdir(tmp_path) == []
         assert multiprocessing.active_children() == []
+
+    def test_repeated_failed_writes_finish(self, tmp_path):
+        """Thirty such failed writes in a row, in a fresh interpreter with
+        60 s to finish: each exits 2 and leaves no file.  A pool terminated
+        while its task thread still sent a block hung within 0-55 of them."""
+        main = ("import errno, os, sys\n"
+                "from quenchsim import cli\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "cli._BLOCKS_PER_WORKER = 1\n"
+                "fdopen = os.fdopen\n"
+                "def full_disk(*args, **kwargs):\n"
+                "    fh = fdopen(*args, **kwargs)\n"
+                "    def writelines(blocks):\n"
+                "        fh.write(next(iter(blocks)))\n"
+                "        raise OSError(errno.ENOSPC, 'No space left on device')\n"
+                "    fh.writelines = writelines\n"
+                "    return fh\n"
+                "os.fdopen = full_disk\n"
+                "codes = [cli.main(['lz', '--T', '1.0006', '--dt', '1e-4', '-o', sys.argv[1]])\n"
+                "         for _ in range(30)]\n"
+                "sys.exit(0 if codes == [2] * 30 and not os.path.exists(sys.argv[1]) else 1)\n")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # its own session, so a hung run's pool workers are killed with it
+        child = subprocess.Popen([sys.executable, "-c", main, str(tmp_path / "t.csv")],
+                                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                 start_new_session=True)
+        try:
+            assert child.wait(timeout=60) == 0
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, 9)
+                child.wait()
+        assert os.listdir(tmp_path) == []

@@ -235,6 +235,23 @@ class TestEvolveModes:
             dev = np.abs(np.matmul(U, U.conj().transpose(0, 2, 1)) - IDENT).max()
             assert dev < 1e-10
 
+    @pytest.mark.parametrize("regime,strategy", [
+        (Regime.ISING, Strategy.GEO), (Regime.ISING, Strategy.GEO_JUMP),
+        (Regime.ANISOTROPY, Strategy.GEO), (Regime.ANISOTROPY, Strategy.GEO_JUMP),
+    ])
+    def test_one_cell_computes_its_angles_once(self, regime, strategy, monkeypatch):
+        """From ChainConfig(...) through run_chain, a per-mode geodesic cell
+        computes its modes' geodesic angles once, for the engine's sampler."""
+        calls, angles = [], freefermion._mode_geodesic_angles
+        monkeypatch.setattr(freefermion, "_mode_geodesic_angles",
+                            lambda *args: calls.append(args) or angles(*args))
+        ising = regime is Regime.ISING
+        gamma, h = ((1.0, 1.0), (10.0, 0.0)) if ising else ((-1.0, 1.0), (0.5, 0.5))
+        kicks = kick_train(3, 1e-3) if strategy is Strategy.GEO_JUMP else None
+        run_chain(ChainConfig(14, regime, *gamma, *h, 1.0, 1e-3, strategy=strategy, kicks=kicks,
+                              collective_geodesic=False), track_err=True)
+        assert len(calls) == 1
+
     def test_per_mode_and_collective_geodesic_differ(self):
         cfg_c = ising_cfg(5.0, 1e-3, Strategy.GEO, n_spins=64, collective=True)
         cfg_m = ising_cfg(5.0, 1e-3, Strategy.GEO, n_spins=64, collective=False)
@@ -463,7 +480,8 @@ def kick_err_loop(cfg, ks):
     width = dt / T
     out = []
     for k in ks:
-        (th_i,), (th_f,) = xy_geodesic_schedule([k], True, cfg.h_i, cfg.h_f, cfg.gamma_i)
+        s, c = np.sin([k]), np.cos([k])
+        (th_i,), (th_f,) = xy_geodesic_schedule(cfg.h_i - c, cfg.h_f - c, cfg.gamma_i * s)
         phase, integral, prev_end = 0.0, 0.0j, 0.0
         for j, t0 in enumerate(cfg.kick_times):
             lam_j = (2 * j + 1) / (2 * kt.n_kicks)
@@ -638,10 +656,11 @@ class TestIndependentPaths:
         the per-mode geodesic angle is undefined."""
         assert np.pi / 2 in momentum_grid(10)
         kicks = kick_train(3, 1e-3) if strategy is Strategy.GEO_JUMP else None
-        with pytest.raises(ValueError, match="h = cos"):
-            cfg = ChainConfig(10, Regime.ANISOTROPY, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-3,
-                              strategy=strategy, kicks=kicks, collective_geodesic=False)
-            run_chain(cfg)
+        with pytest.raises(ValueError) as info:
+            ChainConfig(10, Regime.ANISOTROPY, -1.0, 1.0, 0.0, 0.0, 1.0, 1e-3,
+                        strategy=strategy, kicks=kicks, collective_geodesic=False)
+        assert str(info.value) == (f"h = cos(k) = {float(np.cos(np.pi / 2))}: anisotropy "
+                                   "mixing angle undefined")
 
 
 def _thread_case(case, n_spins):

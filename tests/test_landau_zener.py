@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quenchsim.landau_zener import LZConfig, evolve_lz
-from quenchsim.schedules import Strategy, _geodesic_angles, kick_train
+from quenchsim.schedules import Strategy, kick_train, xy_geodesic_schedule
 
 from oracles import (HADAMARD, Herm2, adiabatic_error, eig2, exact_linear_U, expm_herm2, fidelity,
                      lz_geodesic_final_state, lz_hamiltonian, step_error_sum)
@@ -178,7 +178,7 @@ def loop_reference(cfg):
     _, _, psi, _ = eig2(lz_hamiltonian(cfg.x_i, cfg.eps))
     _, _, target, _ = eig2(lz_hamiltonian(cfg.x_f, cfg.eps))
     if cfg.strategy is not Strategy.LIN:
-        th_i, th_f = _geodesic_angles(cfg.x_i, cfg.x_f, cfg.eps)
+        th_i, th_f = xy_geodesic_schedule(cfg.x_i, cfg.x_f, cfg.eps)
         theta = lambda frac: th_i + (th_f - th_i) * frac
     gen = np.zeros((n, 2))  # (dx, dz) per step
     for s in range(n):

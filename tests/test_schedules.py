@@ -6,10 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from quenchsim.freefermion import ChainConfig, Regime, _bloch_components, momentum_grid, run_chain
+from quenchsim.freefermion import (ChainConfig, Regime, _bloch_components, _mode_geodesic_angles,
+                                   momentum_grid, run_chain)
 from quenchsim.landau_zener import LZConfig, evolve_lz
-from quenchsim.schedules import (KickTrain, Strategy, _geodesic_angles, kick_train,
-                                 xy_geodesic_schedule)
+from quenchsim.schedules import KickTrain, Strategy, kick_train, xy_geodesic_schedule
 
 from oracles import fs_metric_gamma, fs_metric_h
 
@@ -38,9 +38,18 @@ def mode_params(cfg, k, frac):
     return d[:, 0] / math.sin(k), a[:, 0] + math.cos(k)
 
 
+def mode_angles(ks, varies_h, p_i, p_f, h):
+    """The per-mode geodesic endpoints (theta_i, theta_f) at the momenta ks
+    of a run from control p_i to p_f: h on the Ising line, else gamma at
+    fixed h (the gapless line at h = 1)."""
+    regime = Regime.ISING if varies_h else Regime.GAPLESS if h == 1.0 else Regime.ANISOTROPY
+    gamma, hs = ((1.0, 1.0), (p_i, p_f)) if varies_h else ((p_i, p_f), (h, h))
+    return _mode_geodesic_angles(mode_geodesic(regime, gamma, hs), np.asarray(ks, dtype=float))
+
+
 def lz_field(x_i, x_f, eps, frac):
     """Sweep field x = eps tan(theta) on the geodesic at the scaled times frac."""
-    th_i, th_f = _geodesic_angles(x_i, x_f, eps)
+    th_i, th_f = xy_geodesic_schedule(x_i, x_f, eps)
     return eps * np.tan(th_i + (th_f - th_i) * np.asarray(frac, dtype=float))
 
 
@@ -68,11 +77,11 @@ class TestLinearSchedule:
 
 class TestLZGeodesicSchedule:
     """The two-level sweep's geodesic, x = eps tan(theta): evolve_lz takes
-    its endpoints from _geodesic_angles(x_i, x_f, eps)."""
+    its endpoints from xy_geodesic_schedule(x_i, x_f, eps)."""
 
     def test_theta_endpoint_value(self):
         """theta_i = arctan(-100) for x_i=-10, eps=0.1."""
-        th_i, _ = _geodesic_angles(-10.0, 10.0, 0.1)
+        th_i, _ = xy_geodesic_schedule(-10.0, 10.0, 0.1)
         assert th_i == pytest.approx(math.atan(-100.0), abs=1e-15)
         assert th_i == pytest.approx(-1.5607966601082315, abs=1e-12)
 
@@ -101,7 +110,7 @@ class TestLZGeodesicSchedule:
         than pi apart; the path takes the short arc through theta = -pi
         (x = 0), so x(t) runs monotonically from -10 to 10 and crosses no
         tan pole."""
-        th_i, th_f = _geodesic_angles(-10.0, 10.0, -0.1)
+        th_i, th_f = xy_geodesic_schedule(-10.0, 10.0, -0.1)
         assert abs(th_f - th_i) <= math.pi
         x = lz_field(-10.0, 10.0, -0.1, np.linspace(0.0, 1.0, 10001))
         assert np.all(np.diff(x) > 0)
@@ -114,7 +123,7 @@ class TestXYGeodesicSchedule:
     def test_vary_gamma_symmetric_endpoints(self):
         """theta_i = -pi/4, theta_f = +pi/4 gives gamma = 0 at T/2."""
         # k=pi/2, h fixed so a = -cos(k) + h = 0.5 - 0 = 0.5; gamma = +-0.5 -> theta = atan2(+-0.5, 0.5)
-        th_i, th_f = xy_geodesic_schedule([np.pi / 2], False, -0.5, 0.5, 0.5)
+        th_i, th_f = mode_angles([np.pi / 2], False, -0.5, 0.5, 0.5)
         assert th_i[0] == pytest.approx(-np.pi / 4)
         assert th_f[0] == pytest.approx(np.pi / 4)
         cfg = mode_geodesic(Regime.ANISOTROPY, (-0.5, 0.5), (0.5, 0.5))
@@ -122,7 +131,7 @@ class TestXYGeodesicSchedule:
 
     def test_vary_gamma_endpoints_against_atan2(self):
         """k=pi/2, h=0.5, gamma -1 -> 1: endpoints from direct evaluation."""
-        th_i, th_f = xy_geodesic_schedule([np.pi / 2], False, -1.0, 1.0, 0.5)
+        th_i, th_f = mode_angles([np.pi / 2], False, -1.0, 1.0, 0.5)
         assert th_i[0] == pytest.approx(math.atan2(-1.0, 0.5))
         assert th_f[0] == pytest.approx(math.atan2(1.0, 0.5))
         cfg = mode_geodesic(Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5))
@@ -132,7 +141,7 @@ class TestXYGeodesicSchedule:
 
     def test_vary_h_tan_relation(self):
         """k=pi/2, h_i=10 gives tan(theta_i) = 10."""
-        th_i, _ = xy_geodesic_schedule([np.pi / 2], True, 10.0, 0.0, 1.0)
+        th_i, _ = mode_angles([np.pi / 2], True, 10.0, 0.0, 1.0)
         assert math.tan(th_i[0]) == pytest.approx(10.0)
         _, h = mode_params(ising(10.0, 0.0, 1.0, strategy=Strategy.GEO, collective_geodesic=False),
                            np.pi / 2, [0.0, 1.0])
@@ -156,7 +165,7 @@ class TestXYGeodesicSchedule:
         the final (d, a) bit for bit: the wrap touches only long arcs."""
         ks = momentum_grid(250)
         s, c = np.sin(ks), np.cos(ks)
-        th_i, th_f = xy_geodesic_schedule(ks, False, gamma_i, gamma_f, h)
+        th_i, th_f = mode_angles(ks, False, gamma_i, gamma_f, h)
         want_i = np.array([math.atan2(gamma_i * sk, h - ck) for sk, ck in zip(s, c)])
         want_f = np.array([math.atan2(gamma_f * sk, h - ck) for sk, ck in zip(s, c)])
         short = np.abs(want_f - want_i) <= math.pi
@@ -171,11 +180,32 @@ class TestXYGeodesicSchedule:
         arc never moves theta_f."""
         ks = momentum_grid(250)
         s, c = np.sin(ks), np.cos(ks)
-        th_i, th_f = xy_geodesic_schedule(ks, True, h_i, h_f, 1.0)
+        th_i, th_f = mode_angles(ks, True, h_i, h_f, 1.0)
         want_i = np.array([math.atan2(h_i - ck, sk) for sk, ck in zip(s, c)])
         want_f = np.array([math.atan2(h_f - ck, sk) for sk, ck in zip(s, c)])
         assert th_i.tobytes() == want_i.tobytes()
         assert th_f.tobytes() == want_f.tobytes()
+
+    @pytest.mark.parametrize("regime,gamma,h", [
+        (Regime.ISING, (1.0, 1.0), (10.0, 0.0)), (Regime.ISING, (1.0, 1.0), (-0.5, 3.0)),
+        (Regime.ANISOTROPY, (-1.0, 1.0), (0.5, 0.5)),
+        (Regime.ANISOTROPY, (0.2, 1.5), (-0.3, -0.3)),
+        (Regime.GAPLESS, (-1.0, 1.0), (1.0, 1.0)),
+    ])
+    @pytest.mark.parametrize("strategy", [Strategy.GEO, Strategy.GEO_JUMP])
+    def test_sampler_holds_the_generators_fixed_component(self, regime, gamma, h, strategy):
+        """On every line the per-mode geodesic's fixed component, d on the
+        Ising line and a on the gamma lines, is cfg.generator's at both ends,
+        bit for bit, at every sampled time."""
+        kicks = kick_train(3, 1e-3) if strategy is Strategy.GEO_JUMP else None
+        cfg = ChainConfig(66, regime, *gamma, *h, 1.0, 1e-3, strategy=strategy, kicks=kicks,
+                          collective_geodesic=False)
+        ks = momentum_grid(66)
+        a, d = _bloch_components(cfg, ks)(np.linspace(0.0, 1.0, 7))
+        fixed = d if cfg.varies_h else a
+        for p in cfg.control:
+            want = cfg.generator(p, np.sin(ks), np.cos(ks))[1 if cfg.varies_h else 0]
+            assert all(row.tobytes() == want.tobytes() for row in fixed)
 
     def test_theta_monotone(self):
         """The sampled field-line angle atan2(a, sin k) falls at every step."""
@@ -184,15 +214,11 @@ class TestXYGeodesicSchedule:
         th = np.arctan2(h - math.cos(1.0), math.sin(1.0))
         assert np.all(np.diff(th) < 0)
 
-    def test_rejects_k_at_zone_boundary(self):
-        with pytest.raises(ValueError):
-            xy_geodesic_schedule([0.0], True, 10.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            xy_geodesic_schedule([np.pi], False, -1.0, 1.0, 0.5)
-
     def test_rejects_h_equal_cos_k(self):
-        with pytest.raises(ValueError):
-            xy_geodesic_schedule([np.pi / 3], False, -1.0, 1.0, 0.5)
+        """A per-mode geodesic at h = cos(pi/4), a mode of N = 4, holds a = 0."""
+        h = float(np.cos(momentum_grid(4)[0]))
+        with pytest.raises(ValueError, match=r"^h = cos\(k\) = "):
+            mode_geodesic(Regime.ANISOTROPY, (-1.0, 1.0), (h, h))
 
 
 class TestGeodesicConstancy:
