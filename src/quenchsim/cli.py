@@ -8,13 +8,15 @@ Subcommands:
            rates for one regime; writes one combined defect table.
     fit    log-log power-law fit of a defect table over a rate window.
 
-chain and sweep share one runner: a table is a list of (rate, ChainConfig)
-cells, all built (and so checked) before the first one runs.
-
 Each flag's default lives on its argument.  A config file's values, converted
 as their flags convert the command line, become the subcommand parser's
-defaults, so flags given explicitly still override them; the resolved
-settings (and the manifest's keys) are every destination of that parser.
+defaults, so flags given explicitly still override them; the resolved settings
+are every destination of that parser.  A command maps them to (resolved,
+tables, message), resolved being what its manifests list; main checks every
+output path before any work starts, then writes the (path, header, rows,
+columns) tables in order, each with its manifest, and prints the message.
+chain and sweep share one runner over (rate, ChainConfig) cells, all built (so
+checked) first.
 
 A cell run in process threads its modes over every usable CPU; a pool of
 --workers processes gives each cell max(1, CPUs // pool size) threads.
@@ -24,14 +26,11 @@ round-trip repr, the bytes csv.writer writes for a Python float.  The float
 tables (lz, --modes-out) are formatted in blocks of rows, on a pool of up to
 every usable CPU once each worker gets enough blocks to pay for its start,
 and written in order.  So identical configs produce byte-identical files for
-any worker, thread or CPU count.  Every output path is checked before any
-work starts: it must name a file in an existing directory, no two files of a
-run (tables and manifests) may be the same, and none may be the run's --input
-or --config file.
-Output files are written to a temporary file in the target directory and
-renamed into place, so an interrupted run leaves no partial file at the
-destination; a manifest listing the fully resolved configuration is written
-next to each output.
+any worker, thread or CPU count.  An output path must name a file in an
+existing directory, no two files of a run (tables and manifests) may be the
+same, and none may be the run's --input or --config file.  Each file is
+written to a temporary file in its directory and renamed into place, so an
+interrupted run leaves no partial file at the destination.
 """
 
 from __future__ import annotations
@@ -130,11 +129,9 @@ def _atomic_write(path: str, header: list[str], rows: Iterable[tuple] = (),
         _write_atomically(path, write)
 
 
-def _write_manifest(out_path: str, resolved: dict) -> str:
-    path = out_path + ".manifest.txt"
+def _write_manifest(out_path: str, resolved: dict) -> None:
     lines = [f"quenchsim {__version__}"] + [f"{k} = {resolved[k]}" for k in sorted(resolved)]
-    _write_atomically(path, lambda fh: fh.write("\n".join(lines) + "\n"))
-    return path
+    _write_atomically(out_path + ".manifest.txt", lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def _rate_token(kind, token):
@@ -245,19 +242,18 @@ def _kick_setting(n_kicks: int, width: float, dt: float) -> KickTrain | None:
 # lz
 # ---------------------------------------------------------------------------
 
-def _run_lz(ns: argparse.Namespace) -> int:
-    cfg = _settings(ns)
+def _run_lz(cfg: dict) -> tuple:
+    """lz: returns the trajectory table of one two-level sweep, for main to write."""
     traj = evolve_lz(LZConfig(
         eps=cfg["eps"], x_i=cfg["x"][0], x_f=cfg["x"][1], T=cfg["T"], dt=cfg["dt"],
         strategy=cfg["strategy"], kicks=_kick_setting(cfg["kicks"], cfg["pulse_width"], cfg["dt"]),
     ))
-    _atomic_write(cfg["out"], ["t", "fidelity", "gap", "re_phase", "im_phase", "err"],
-                  columns=(traj.times, traj.fidelity, traj.gap, traj.phase_diff_re,
-                           traj.phase_diff_im, traj.err))
-    _write_manifest(cfg["out"], cfg)
-    print(f"wrote {cfg['out']} ({len(traj.times)} rows, "
-          f"final fidelity {float(traj.fidelity[-1])!r})")
-    return 0
+    header = ["t", "fidelity", "gap", "re_phase", "im_phase", "err"]
+    columns = (traj.times, traj.fidelity, traj.gap, traj.phase_diff_re, traj.phase_diff_im,
+               traj.err)
+    message = (f"wrote {cfg['out']} ({len(traj.times)} rows, "
+               f"final fidelity {float(traj.fidelity[-1])!r})")
+    return cfg, [(cfg["out"], header, (), columns)], message
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +315,14 @@ def _run_cells(cells: list[tuple], workers: int, track_err: bool = False) -> lis
         return list(results)
 
 
-def _run_table(ns: argparse.Namespace) -> int:
-    """chain and sweep: one defect table over (strategy, kicks, width)
-    combinations x rates.  chain runs one combination, and with --modes-out
-    also writes the mode table of its single rate; sweep runs the product of
-    its lists, with kicks and widths for geojump only."""
-    sweep = ns.command == "sweep"
-    cfg = _settings(ns)
+def _run_table(cfg: dict, sweep: bool) -> tuple:
+    """chain and sweep: return one defect table over (strategy, kicks, width)
+    combinations x rates, and with chain's --modes-out the mode table of its
+    single rate; sweep runs the product of its lists, with kicks and widths
+    for geojump only.  main writes them; resolved holds the parsed rates."""
     if cfg["rates"] is None:
-        raise ValueError(f"{ns.command} requires --rates (list or: log MIN MAX COUNT)")
+        raise ValueError(f"{'sweep' if sweep else 'chain'} requires --rates "
+                         "(list or: log MIN MAX COUNT)")
     rates = _parse_rates(cfg["rates"])
     modes_out = cfg.get("modes_out")
     if modes_out and len(rates) != 1:
@@ -342,25 +337,20 @@ def _run_table(ns: argparse.Namespace) -> int:
     # with --modes-out one run gives the defect row and the mode table: p_k
     # does not depend on track_err
     results = _run_cells(_chain_cells(cfg, combos, rates), workers, track_err=bool(modes_out))
-    _atomic_write(cfg["out"], _SWEEP_HEADER, [row for row, _, _ in results])
-    resolved = {**cfg, "rates": rates}
-    _write_manifest(cfg["out"], resolved)
-    written = [cfg["out"]]
+    tables = [(cfg["out"], _SWEEP_HEADER, [row for row, _, _ in results], None)]
     if modes_out:
         _, result, err = results[0]
-        _atomic_write(modes_out, ["k", "p_k", "err_k"], columns=(result.ks, result.pk, err))
-        _write_manifest(modes_out, resolved)
-        written.append(modes_out)
-    print(f"wrote {', '.join(written)} ({len(results)} rows)")
-    return 0
+        tables.append((modes_out, ["k", "p_k", "err_k"], (), (result.ks, result.pk, err)))
+    message = f"wrote {', '.join(t[0] for t in tables)} ({len(results)} rows)"
+    return {**cfg, "rates": rates}, tables, message
 
 
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
 
-def _run_fit(ns: argparse.Namespace) -> int:
-    cfg = _settings(ns)
+def _run_fit(cfg: dict) -> tuple:
+    """fit: returns the power-law fit table of a defect table's groups, and a line per group."""
     if not cfg["input"]:
         raise ValueError("fit requires --input CSV")
     if cfg["window"] is None:
@@ -382,16 +372,14 @@ def _run_fit(ns: argparse.Namespace) -> int:
             groups.setdefault(tuple(rec.get(col, "") for col in columns), []).append(point)
     if not groups:
         raise ValueError(f"{path}: no data rows")
-    rows = []
+    rows, lines = [], []
     for key in sorted(groups):
         fit = fit_power_law(groups[key], (lo, hi))
         rows.append((*key, fit.exponent, fit.r_squared, lo, hi))
-        print("fit " + " ".join(f"{col}={v or '-'}" for col, v in zip(columns, key))
-              + f" exponent={fit.exponent:.4f} r2={fit.r_squared:.6f}")
-    _atomic_write(cfg["out"], [*columns, "exponent", "r_squared", "window_min", "window_max"],
-                  rows)
-    _write_manifest(cfg["out"], cfg)
-    return 0
+        lines.append("fit " + " ".join(f"{col}={v or '-'}" for col, v in zip(columns, key))
+                     + f" exponent={fit.exponent:.4f} r2={fit.r_squared:.6f}")
+    header = [*columns, "exponent", "r_squared", "window_min", "window_max"]
+    return cfg, [(cfg["out"], header, rows, None)], "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modes-out", dest="modes_out", default="",
                            help="per-mode CSV (k, p_k, err_k); single rate only")
         _add_common(p, out)
-        p.set_defaults(func=_run_table, parser=p)
+        p.set_defaults(func=partial(_run_table, sweep=multi), parser=p)
 
     p = sub.add_parser("fit", help="log-log power-law fit of a defect table")
     p.add_argument("--input", default="", help="defect CSV with columns rate, n_defect")
@@ -495,7 +483,12 @@ def main(argv: list[str] | None = None) -> int:
                 dest = f"--out {out}" if at < 2 else f"--modes-out {modes_out}"
                 raise ValueError(f"{'the manifest of ' if at % 2 else ''}{dest} would overwrite "
                                  f"{flag} {source}")
-        return ns.func(ns)
+        resolved, tables, message = ns.func(_settings(ns))
+        for path, header, rows, columns in tables:
+            _atomic_write(path, header, rows, columns)
+            _write_manifest(path, resolved)
+        print(message)
+        return 0
     except (ValueError, OSError, MemoryError) as exc:  # numpy: "Unable to allocate ..."
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -257,7 +257,6 @@ def collective_geodesic_ramp(cfg: ChainConfig) -> Callable:
     arclen = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
 
     def ramp(frac):
-        frac = np.clip(np.asarray(frac, dtype=float), 0.0, 1.0)
         target = arclen[-1] * (frac if p_i <= p_f else 1.0 - frac)
         return np.interp(target, arclen, grid)
 

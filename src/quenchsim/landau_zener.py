@@ -83,7 +83,7 @@ class LZConfig(Run):
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics of one run; all arrays share length n_steps + 1."""
+    """Per-step diagnostics of one run, of length n_steps + 1, and its (2,) final state."""
 
     times: np.ndarray
     fidelity: np.ndarray

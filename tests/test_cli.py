@@ -196,6 +196,25 @@ class TestChainCommand:
         assert not (tmp_path / "d.csv.manifest.txt").exists()
         assert not modes.exists()
 
+    def test_failed_mode_table_write_keeps_the_defect_table(self, tmp_path, capsys,
+                                                            monkeypatch):
+        """The defect table and its manifest are written before the mode table,
+        so a failed mode-table write leaves them and nothing of its own."""
+        write = cli._atomic_write
+
+        def failing(path, *args, **kwargs):
+            if path.endswith("modes.csv"):
+                raise OSError(f"cannot write {path}: No space left on device")
+            write(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_atomic_write", failing)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["chain", "--spins", "8", "--dt", "1e-2", "--rates", "1", "-o", "d.csv",
+                         "--modes-out", "modes.csv"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot write modes.csv: No space left on "
+                                           "device\n")
+        assert sorted(os.listdir(tmp_path)) == ["d.csv", "d.csv.manifest.txt"]
+
     def test_mode_on_h_equal_cos_k_exits_2(self, tmp_path, capsys):
         """Per-mode geodesic at anisotropy h = 0, N = 10 (k = pi/2 on h = cos k)."""
         code = cli.main(["chain", "--regime", "anisotropy", "--h", "0", "0",
@@ -432,6 +451,27 @@ class TestFitCommand:
         assert cli.main(["fit", "--input", "t.csv", "--window", "0.1", "10"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fit_report.csv").exists()
+
+
+class TestStdout:
+    @pytest.mark.parametrize("args,stdout", [
+        (["chain", "--spins", "8", "--dt", "1e-2", "--rates", "1", "-o", "d.csv",
+          "--modes-out", "modes.csv"], "wrote d.csv, modes.csv (1 rows)\n"),
+        (["sweep", "--strategy", "lin", "geo", "--spins", "8", "--dt", "1e-2",
+          "--rates", "0.5", "1", "--workers", "1", "-o", "s.csv"], "wrote s.csv (4 rows)\n"),
+        (["fit", "--input", "table.csv", "--window", "0.01", "100", "-o", "f.csv"],
+         "fit regime=ising strategy=geo kicks=- pulse_width=- exponent=-0.3010 r2=1.000000\n"
+         "fit regime=ising strategy=lin kicks=- pulse_width=- exponent=1.0000 r2=1.000000\n"),
+    ], ids=["chain-modes", "sweep", "fit"])
+    def test_command_prints_its_summary(self, args, stdout, tmp_path, capsys, monkeypatch):
+        """chain and sweep name what they wrote and its row count; fit prints
+        one line per group, in sorted group order."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.csv").write_text(
+            "rate,strategy,regime,n_defect\n0.1,lin,ising,0.1\n1,lin,ising,1\n"
+            "10,lin,ising,10\n0.1,geo,ising,0.4\n1,geo,ising,0.2\n10,geo,ising,0.1\n")
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == stdout
 
 
 def _fail(*args, **kwargs):

@@ -415,12 +415,14 @@ class TestCollectiveRamp:
     ], ids=["ising-down", "ising-up", "gapless", "anisotropy-down"])
     def test_runs_monotone_from_p_i_to_p_f(self, regime, gamma, h):
         """On every line the ramp starts at p_i, ends at p_f and moves
-        strictly towards p_f in between, whichever way the control runs."""
+        strictly towards p_f in between, whichever way the control runs; it
+        holds its ends outside [0, 1]."""
         cfg = ChainConfig(n_spins=64, regime=regime, gamma_i=gamma[0], gamma_f=gamma[1],
                           h_i=h[0], h_f=h[1], T=2.0, dt=1e-3, strategy=Strategy.GEO)
         ramp = collective_geodesic_ramp(cfg)
         p_i, p_f = cfg.control
         assert ramp(0.0) == p_i and ramp(1.0) == p_f
+        assert ramp(-0.5) == p_i and ramp(1.5) == p_f
         steps = np.diff(ramp(np.linspace(0.0, 1.0, 1001)))
         assert np.all(steps * np.sign(p_f - p_i) > 0)
 
